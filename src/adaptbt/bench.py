@@ -18,12 +18,14 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     Blackboard,
     NO_STRATEGIES,
     NodeStatus,
     RetryUntilSuccessful,
+    TickTrace,
     iter_nodes,
     tick_root,
 )
@@ -334,8 +336,17 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
                 target_angle: float, num_attempts: int, dt: float = 0.1,
                 margin: float = 0.0, max_ticks: int = 200_000,
                 document: TreeDocument | None = None,
-                probe: EpisodeProbe | None = None) -> EpisodeResult:
-    """One full seeded episode of the adaptive tree against one device."""
+                probe: EpisodeProbe | None = None,
+                seeds: dict | None = None,
+                on_tick: Callable[[int, float, NodeStatus, TickTrace], None]
+                | None = None) -> EpisodeResult:
+    """One full seeded episode of `document` (default: the canonical tree).
+
+    `seeds` are extra blackboard entries written after the four standard
+    keys. `on_tick(tick, sim_time, status, trace)` is called after every
+    root tick and before the world clock advances, so `sim_time` is the
+    time the tick ran at. Raises BenchError after `max_ticks` ticks.
+    """
     world = World(device, dt=dt, rng=rng)
     if probe is None:
         probe = EpisodeProbe()
@@ -349,28 +360,33 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
     blackboard.set("target_angle", target_angle)
     blackboard.set("tightened_threshold", device.tightened_threshold)
     blackboard.set("twist_progress", 0.0)
+    for key, value in (seeds or {}).items():
+        blackboard.set(key, value)
 
     tree = instantiate(document, leaf_registry, blackboard)
-    retry = next(n for n in iter_nodes(tree)
-                 if isinstance(n, RetryUntilSuccessful))
+    retry = next((n for n in iter_nodes(tree)
+                  if isinstance(n, RetryUntilSuccessful)), None)
 
     status = NodeStatus.RUNNING
-    for _ in range(max_ticks):
-        status, _ = tick_root(tree, blackboard)
+    for tick in range(max_ticks):
+        status, trace = tick_root(tree, blackboard)
+        if on_tick is not None:
+            on_tick(tick, world.sim_time, status, trace)
         world.advance()
         if status is not NodeStatus.RUNNING:
             break
     else:
         raise BenchError(f"episode exceeded {max_ticks} ticks")
 
-    reasons = [reason for reason, _ in retry.history]
+    history = retry.history if retry is not None else []
+    reasons = [reason for reason, _ in history]
     if probe.selections and probe.selections[-1][0] == NO_STRATEGIES:
         reasons.append(NO_STRATEGIES)
     return EpisodeResult(
         trial=trial,
         device_id=device.id,
         success=status is NodeStatus.SUCCESS,
-        attempts_consumed=retry.attempts_consumed,
+        attempts_consumed=retry.attempts_consumed if retry is not None else 1,
         sim_time=world.sim_time,
         strategy_sequence=probe.strategy_sequence(),
         failure_reasons=tuple(reasons))

@@ -14,26 +14,24 @@ import argparse
 import dataclasses
 import json
 import math
-import random
 import sys
 
 from .bench import (
     BenchError,
     DEFAULT_DEVICES,
     DEFAULT_STRATEGIES,
-    EpisodeProbe,
-    episode_leaf_registry,
     emit_results,
     make_config,
+    run_episode,
     run_experiment,
     summarize,
+    trial_rng,
 )
-from .core import Blackboard, NodeStatus, RetryUntilSuccessful, iter_nodes, \
-    tick_root
-from .sim import DeviceInstance, World
+from .core import NodeStatus
+from .sim import DeviceInstance
 from .strategies import DataStore, StrategySpec, load as load_data_store, \
     persist as persist_data_store
-from .treedef import InstantiationError, instantiate, parse_tree_definition, \
+from .treedef import InstantiationError, parse_tree_definition, \
     validate_switch_coverage
 
 EXIT_OK = 0
@@ -194,9 +192,8 @@ def cmd_tick(args: argparse.Namespace) -> int:
     devices = devices_from_config(config)
 
     device_id = config.get("device", "testA")
-    if device_id not in devices:
-        raise ConfigError(f"unknown device {device_id!r}")
-    device = devices[device_id]
+    if not isinstance(device_id, str) or device_id not in devices:
+        raise ConfigError(f"config device {device_id!r} is not a known device")
 
     try:
         with open(args.tree) as handle:
@@ -221,59 +218,47 @@ def cmd_tick(args: argparse.Namespace) -> int:
 
     seed = args.seed if args.seed is not None \
         else _config_int(config, "seed", 0)
-    trial = _config_int(config, "trial", 1)
-    num_attempts = _config_int(config, "num_attempts", 5)
-    target_angle = _config_float(config, "target_angle", math.pi / 2)
-    dt = _config_float(config, "dt", 0.1)
     max_ticks = _config_int(config, "max_ticks", 200_000)
-
-    world = World(device, dt=dt, rng=random.Random(f"{seed}/0"))
-    probe = EpisodeProbe()
-    registry = episode_leaf_registry(world, store, strategies, probe, trial,
-                                     _config_float(config, "margin", 0.0))
-
-    blackboard = Blackboard()
-    blackboard.set("num_attempts", num_attempts)
-    blackboard.set("target_angle", target_angle)
-    blackboard.set("tightened_threshold", device.tightened_threshold)
-    blackboard.set("twist_progress", 0.0)
     extra = config.get("blackboard", {})
     if not isinstance(extra, dict):
         raise ConfigError("config blackboard must be an object")
     for key, value in extra.items():
-        blackboard.set(key, value)
+        if not isinstance(value, (bool, int, float, str)):
+            raise ConfigError(f"config blackboard {key!r} must be a bool, "
+                              f"int, float or string")
+
+    def print_tick(tick, sim_time, status, trace):
+        line = " ".join(f"{name}={STATUS_LETTERS[node_status]}"
+                        for name, node_status in trace.entries)
+        print(f"[{tick:5d} t={sim_time:7.1f}s] {line}")
+        for message in trace.diagnostics:
+            print(f"[{tick:5d}] diagnostic: {message}")
 
     try:
-        tree = instantiate(parsed.document, registry, blackboard)
+        result = run_episode(
+            devices[device_id], strategies, store, trial_rng(seed, 0),
+            _config_int(config, "trial", 1),
+            _config_float(config, "target_angle", math.pi / 2),
+            _config_int(config, "num_attempts", 5),
+            dt=_config_float(config, "dt", 0.1),
+            margin=_config_float(config, "margin", 0.0),
+            max_ticks=max_ticks, document=parsed.document, seeds=extra,
+            on_tick=print_tick)
     except InstantiationError as exc:
         print(f"cannot instantiate tree: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    status = NodeStatus.RUNNING
-    for tick in range(max_ticks):
-        status, trace = tick_root(tree, blackboard)
-        line = " ".join(f"{name}={STATUS_LETTERS[node_status]}"
-                        for name, node_status in trace.entries)
-        print(f"[{tick:5d} t={world.sim_time:7.1f}s] {line}")
-        for message in trace.diagnostics:
-            print(f"[{tick:5d}] diagnostic: {message}")
-        world.advance()
-        if status is not NodeStatus.RUNNING:
-            break
-    else:
+    except BenchError:
         print(f"stopped: no terminal status within {max_ticks} ticks",
               file=sys.stderr)
         return EXIT_TASK_FAILURE
 
-    retry = next((n for n in iter_nodes(tree)
-                  if isinstance(n, RetryUntilSuccessful)), None)
-    attempts = retry.attempts_consumed if retry is not None else 1
-    print(f"episode: {status.name} in {world.sim_time:.1f} s, "
-          f"attempts {attempts}, records {len(store)}")
+    outcome = "SUCCESS" if result.success else "FAILURE"
+    print(f"episode: {outcome} in {result.sim_time:.1f} s, "
+          f"attempts {result.attempts_consumed}, records {len(store)}")
     if args.data_store:
         persist_data_store(store, args.data_store)
         print(f"data store written to {args.data_store}")
-    return EXIT_OK if status is NodeStatus.SUCCESS else EXIT_TASK_FAILURE
+    return EXIT_OK if result.success else EXIT_TASK_FAILURE
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,10 @@ class NodeStatus(enum.Enum):
         return self in (NodeStatus.SUCCESS, NodeStatus.FAILURE)
 
 
+# Hot-path alias: a module global loads far faster than an enum attribute.
+_RUNNING = NodeStatus.RUNNING
+
+
 class BehaviorTreeError(Exception):
     pass
 
@@ -234,120 +238,76 @@ class TreeNode:
 # composites
 
 
-class Sequence(TreeNode):
-    """Ticks children left to right; Success requires every child to succeed.
+class _Composite(TreeNode):
+    """Ticks children left to right until one returns Running or `stops_on`.
 
-    Keeps a cursor while a child is Running and resumes there on the next
-    tick. A child Failure fails the sequence and resets its progress.
+    That status is returned at once; if every child returns the other
+    terminal status, so does the composite. A memory composite keeps a
+    cursor while a child is Running and resumes there on the next tick. A
+    reactive one re-ticks from the first child on every cycle and halts any
+    later child still active from an earlier cycle before it returns.
     """
+
+    stops_on: NodeStatus
+    reactive: bool
+
+    def __init__(self, name: str | None = None,
+                 children: SequenceT[TreeNode] | None = None):
+        super().__init__(name, children)
+        if not self.children:
+            raise ConfigurationError(f"{self.name}: composite requires at least one child")
+        self._cursor = 0
+
+    def _tick(self, trace: TickTrace) -> NodeStatus:
+        children = self.children
+        for index in range(0 if self.reactive else self._cursor, len(children)):
+            status = children[index].execute_tick(trace)
+            if status is _RUNNING or status is self.stops_on:
+                if self.reactive:
+                    for child in children[index + 1:]:
+                        if child.status is not NodeStatus.IDLE:
+                            child.halt()
+                else:
+                    self._cursor = index if status is _RUNNING else 0
+                return status
+        self._cursor = 0
+        return (NodeStatus.FAILURE if self.stops_on is NodeStatus.SUCCESS
+                else NodeStatus.SUCCESS)
+
+    def _reset(self) -> None:
+        self._cursor = 0
+
+
+class Sequence(_Composite):
+    """Success requires every child to succeed; the first Failure fails it."""
 
     kind = "sequence"
-
-    def __init__(self, name: str | None = None,
-                 children: SequenceT[TreeNode] | None = None):
-        super().__init__(name, children)
-        if not self.children:
-            raise ConfigurationError(f"{self.name}: composite requires at least one child")
-        self._cursor = 0
-
-    def _tick(self, trace: TickTrace) -> NodeStatus:
-        while self._cursor < len(self.children):
-            status = self.children[self._cursor].execute_tick(trace)
-            if status is NodeStatus.RUNNING:
-                return NodeStatus.RUNNING
-            if status is NodeStatus.FAILURE:
-                self._cursor = 0
-                return NodeStatus.FAILURE
-            self._cursor += 1
-        self._cursor = 0
-        return NodeStatus.SUCCESS
-
-    def _reset(self) -> None:
-        self._cursor = 0
+    stops_on = NodeStatus.FAILURE
+    reactive = False
 
 
-class Fallback(TreeNode):
-    """Ticks children left to right until one succeeds; fails only if all fail."""
+class Fallback(_Composite):
+    """Fails only if every child fails; the first Success succeeds it."""
 
     kind = "fallback"
-
-    def __init__(self, name: str | None = None,
-                 children: SequenceT[TreeNode] | None = None):
-        super().__init__(name, children)
-        if not self.children:
-            raise ConfigurationError(f"{self.name}: composite requires at least one child")
-        self._cursor = 0
-
-    def _tick(self, trace: TickTrace) -> NodeStatus:
-        while self._cursor < len(self.children):
-            status = self.children[self._cursor].execute_tick(trace)
-            if status is NodeStatus.RUNNING:
-                return NodeStatus.RUNNING
-            if status is NodeStatus.SUCCESS:
-                self._cursor = 0
-                return NodeStatus.SUCCESS
-            self._cursor += 1
-        self._cursor = 0
-        return NodeStatus.FAILURE
-
-    def _reset(self) -> None:
-        self._cursor = 0
+    stops_on = NodeStatus.SUCCESS
+    reactive = False
 
 
-class _ReactiveMixin(TreeNode):
-    def _halt_tail(self, index: int) -> None:
-        # A child past `index` may still be Running from an earlier cycle.
-        for child in self.children[index + 1:]:
-            if child.status is not NodeStatus.IDLE:
-                child.halt()
-
-
-class ReactiveSequence(_ReactiveMixin):
-    """Sequence that re-ticks all children from the start on every cycle.
-
-    A prior child flipping to Failure halts the currently Running child
-    before the composite returns.
-    """
+class ReactiveSequence(_Composite):
+    """Sequence that re-ticks all children from the start on every cycle."""
 
     kind = "reactive_sequence"
-
-    def __init__(self, name: str | None = None,
-                 children: SequenceT[TreeNode] | None = None):
-        super().__init__(name, children)
-        if not self.children:
-            raise ConfigurationError(f"{self.name}: composite requires at least one child")
-
-    def _tick(self, trace: TickTrace) -> NodeStatus:
-        for index, child in enumerate(self.children):
-            status = child.execute_tick(trace)
-            if status is NodeStatus.RUNNING or status is NodeStatus.FAILURE:
-                self._halt_tail(index)
-                return status
-        return NodeStatus.SUCCESS
+    stops_on = NodeStatus.FAILURE
+    reactive = True
 
 
-class ReactiveFallback(_ReactiveMixin):
-    """Fallback that re-ticks all children from the start on every cycle.
-
-    A prior child flipping to Success halts the currently Running child
-    before the composite returns.
-    """
+class ReactiveFallback(_Composite):
+    """Fallback that re-ticks all children from the start on every cycle."""
 
     kind = "reactive_fallback"
-
-    def __init__(self, name: str | None = None,
-                 children: SequenceT[TreeNode] | None = None):
-        super().__init__(name, children)
-        if not self.children:
-            raise ConfigurationError(f"{self.name}: composite requires at least one child")
-
-    def _tick(self, trace: TickTrace) -> NodeStatus:
-        for index, child in enumerate(self.children):
-            status = child.execute_tick(trace)
-            if status is NodeStatus.RUNNING or status is NodeStatus.SUCCESS:
-                self._halt_tail(index)
-                return status
-        return NodeStatus.FAILURE
+    stops_on = NodeStatus.SUCCESS
+    reactive = True
 
 
 # ---------------------------------------------------------------------------

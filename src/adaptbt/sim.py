@@ -27,8 +27,6 @@ FAILURE = NodeStatus.FAILURE
 # reason written when a strategy window cannot hold the device symmetry
 CONFIG = "config"
 
-SEGMENT_KINDS = ("approach", "grasp", "manipulate", "retract")
-
 
 class SimulationError(Exception):
     """A leaf drove the world outside its contract."""

@@ -1,10 +1,12 @@
 """Command line behavior: subcommands, exit codes, file outputs."""
 
 import json
+import math
 
 import pytest
 
-from adaptbt.bench import DEFAULT_STRATEGIES, canonical_tree_text
+from adaptbt.bench import DEFAULT_DEVICES, DEFAULT_STRATEGIES, \
+    build_canonical_tree, canonical_tree_text, run_episode, trial_rng
 from adaptbt.cli import (
     ConfigError,
     devices_from_config,
@@ -12,6 +14,7 @@ from adaptbt.cli import (
     main,
     strategies_from_config,
 )
+from adaptbt.strategies import DataStore
 
 ALL_IDS = [s.id for s in DEFAULT_STRATEGIES]
 
@@ -198,6 +201,69 @@ class TestTick:
         first_selection = next(line for line in stdout.splitlines()
                                if "SelectStrategy=S" in line)
         assert "high_torque_run" in first_selection
+
+    @pytest.mark.parametrize("seed,device", [(3, "normal"), (5, "stiff")])
+    def test_matches_run_episode(self, canonical_file, tmp_path, capsys,
+                                 seed, device):
+        config = write_config(tmp_path, {"device": device})
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--config", str(config), "--seed", str(seed)])
+        lines = capsys.readouterr().out.splitlines()
+        store = DataStore()
+        reference = run_episode(
+            DEFAULT_DEVICES[device], list(DEFAULT_STRATEGIES), store,
+            trial_rng(seed, 0), 1, math.pi / 2, 5,
+            document=build_canonical_tree(ALL_IDS))
+        outcome = "SUCCESS" if reference.success else "FAILURE"
+        assert code == (0 if reference.success else 1)
+        assert lines[-1] == (
+            f"episode: {outcome} in {reference.sim_time:.1f} s, "
+            f"attempts {reference.attempts_consumed}, records {len(store)}")
+        tick_lines = [line for line in lines if line.startswith("[")
+                      and "] diagnostic:" not in line]
+        assert len(tick_lines) == round(reference.sim_time / 0.1)
+
+    def test_tree_without_retry_reports_one_attempt(self, tmp_path, capsys):
+        tree = tmp_path / "one.xml"
+        tree.write_text(
+            '<TreeDocument main_tree="Main">\n'
+            '  <Tree id="Main">\n'
+            '    <AlwaysSuccess/>\n'
+            '  </Tree>\n'
+            '</TreeDocument>\n')
+        code = main(["tick", "--tree", str(tree)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "episode: SUCCESS in 0.1 s, attempts 1, records 0"
+
+    def test_tick_budget_exhausted(self, canonical_file, tmp_path, capsys):
+        config = write_config(tmp_path, {"max_ticks": 5, "device": "normal"})
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--config", str(config)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "stopped: no terminal status within 5 ticks" in captured.err
+        assert "episode:" not in captured.out
+        code = main(["run", "--experiment", "C", "--behavior", "adaptive",
+                     "--config", str(config)])
+        assert code == 2
+        assert "episode exceeded 5 ticks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,key", [
+        ({"device": ["stiff"]}, "device"),
+        ({"blackboard": {"x": [1]}}, "'x'"),
+        ({"blackboard": {"x": None}}, "'x'"),
+        ({"blackboard": {"x": {"y": 1}}}, "'x'"),
+    ])
+    def test_bad_config_values_exit_two(self, canonical_file, tmp_path,
+                                        capsys, payload, key):
+        config = write_config(tmp_path, payload)
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert key in err
 
 
 class TestConfigHelpers:
