@@ -51,6 +51,10 @@ from .treedef import (
 
 STRATEGY_VAR = "strategy_id"
 
+# Hot-path aliases: a module global loads far faster than an enum attribute.
+_RUNNING = NodeStatus.RUNNING
+_SUCCESS = NodeStatus.SUCCESS
+
 DEFAULT_STRATEGIES = [
     StrategySpec("low_torque", ft_limit=0.5, angle_min=0.0, angle_max=math.pi,
                  twist_rate=0.157, t_approach=8.0, t_grasp=4.0, t_retract=4.0,
@@ -367,13 +371,12 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
     retry = next((n for n in iter_nodes(tree)
                   if isinstance(n, RetryUntilSuccessful)), None)
 
-    status = NodeStatus.RUNNING
     for tick in range(max_ticks):
         status, trace = tick_root(tree, blackboard)
         if on_tick is not None:
             on_tick(tick, world.sim_time, status, trace)
         world.advance()
-        if status is not NodeStatus.RUNNING:
+        if status is not _RUNNING:
             break
     else:
         raise BenchError(f"episode exceeded {max_ticks} ticks")
@@ -385,7 +388,7 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
     return EpisodeResult(
         trial=trial,
         device_id=device.id,
-        success=status is NodeStatus.SUCCESS,
+        success=status is _SUCCESS,
         attempts_consumed=retry.attempts_consumed if retry is not None else 1,
         sim_time=world.sim_time,
         strategy_sequence=probe.strategy_sequence(),

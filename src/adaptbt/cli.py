@@ -103,11 +103,19 @@ def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
     return devices
 
 
-def _config_float(config: dict, key: str, fallback: float) -> float:
+def _config_float(config: dict, key: str, fallback: float,
+                  allow_inf: bool = False) -> float:
+    """Read a number; NaN is always rejected, infinities unless `allow_inf`."""
     value = config.get(key, fallback)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config {key} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"config {key} is out of range") from None
+    if math.isnan(value) or (math.isinf(value) and not allow_inf):
+        raise ConfigError(f"config {key} must be a finite number, got {value}")
+    return value
 
 
 def _config_int(config: dict, key: str, fallback: int) -> int:
@@ -136,11 +144,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     elif "num_attempts" in config:
         overrides["num_attempts"] = _config_int(config, "num_attempts", 0)
     if "target_angle" in config:
-        overrides["target_angle"] = _config_float(config, "target_angle", 0.0)
+        overrides["target_angle"] = _config_float(config, "target_angle", 0.0,
+                                                  allow_inf=True)
     if "run_devices" in config:
         run_devices = config["run_devices"]
-        if not isinstance(run_devices, list):
-            raise ConfigError("config run_devices must be a list of ids")
+        if not isinstance(run_devices, list) or not run_devices or \
+                not all(isinstance(d, str) for d in run_devices):
+            raise ConfigError("config run_devices must be a non-empty list of ids")
         overrides["devices"] = tuple(run_devices)
     overrides["dt"] = _config_float(config, "dt", 0.1)
     overrides["margin"] = _config_float(config, "margin", 0.0)
@@ -238,7 +248,7 @@ def cmd_tick(args: argparse.Namespace) -> int:
         result = run_episode(
             devices[device_id], strategies, store, trial_rng(seed, 0),
             _config_int(config, "trial", 1),
-            _config_float(config, "target_angle", math.pi / 2),
+            _config_float(config, "target_angle", math.pi / 2, allow_inf=True),
             _config_int(config, "num_attempts", 5),
             dt=_config_float(config, "dt", 0.1),
             margin=_config_float(config, "margin", 0.0),

@@ -29,13 +29,12 @@ class NodeStatus(enum.Enum):
     SUCCESS = "success"
     FAILURE = "failure"
 
-    @property
-    def terminal(self) -> bool:
-        return self in (NodeStatus.SUCCESS, NodeStatus.FAILURE)
 
-
-# Hot-path alias: a module global loads far faster than an enum attribute.
+# Hot-path aliases: a module global loads far faster than an enum attribute.
+_IDLE = NodeStatus.IDLE
 _RUNNING = NodeStatus.RUNNING
+_SUCCESS = NodeStatus.SUCCESS
+_FAILURE = NodeStatus.FAILURE
 
 
 class BehaviorTreeError(Exception):
@@ -54,6 +53,8 @@ class UnboundKeyError(BehaviorTreeError, KeyError):
     """A node read a blackboard key that nothing has written."""
 
     def __init__(self, key: str):
+        # a Key binding arrives as is; keep plain text for the message
+        key = str(key)
         super().__init__(key)
         self.key = key
 
@@ -123,18 +124,15 @@ class Blackboard:
 
 
 class TickTrace:
-    """Per-cycle record of (node name, resulting status) in tick-entry order."""
+    """Per-cycle record of (node name, status) in tick-entry order.
+
+    Every tick records one; each entry holds the node's status at the end
+    of its visit, even if a parent halts the node later in the same cycle.
+    """
 
     def __init__(self):
         self.entries: list[tuple[str, NodeStatus]] = []
         self.diagnostics: list[str] = []
-
-    def _open(self, name: str) -> int:
-        self.entries.append((name, NodeStatus.RUNNING))
-        return len(self.entries) - 1
-
-    def _close(self, slot: int, status: NodeStatus) -> None:
-        self.entries[slot] = (self.entries[slot][0], status)
 
     def names(self) -> list[str]:
         return [name for name, _ in self.entries]
@@ -163,7 +161,7 @@ class TreeNode:
         self.name = name if name else type(self).__name__
         self.children: list[TreeNode] = list(children or [])
         self.ports: dict[str, object] = dict(ports or {})
-        self.status = NodeStatus.IDLE
+        self.status = _IDLE
         self.bb: Blackboard | None = None
 
     # -- wiring ---------------------------------------------------------
@@ -187,7 +185,7 @@ class TreeNode:
         except KeyError:
             raise ConfigurationError(f"{self.name} has no port {port!r}") from None
         if isinstance(binding, Key):
-            return self.bb.get(str(binding))
+            return self.bb.get(binding)
         return binding
 
     def output(self, port: str, value) -> None:
@@ -200,27 +198,33 @@ class TreeNode:
     # -- execution ------------------------------------------------------
 
     def execute_tick(self, trace: TickTrace) -> NodeStatus:
-        slot = trace._open(self.name)
+        # The entry reads Running while children are visited and is
+        # overwritten in place once the status is terminal.
+        name = self.name
+        entries = trace.entries
+        slot = len(entries)
+        entries.append((name, _RUNNING))
         try:
             status = self._tick(trace)
         except UnboundKeyError as exc:
             # Unbound reads surface as Failure at the reading node.
-            trace.diagnostics.append(f"{self.name}: {exc}")
+            trace.diagnostics.append(f"{name}: {exc}")
             self._reset()
-            status = NodeStatus.FAILURE
-        if not isinstance(status, NodeStatus) or status is NodeStatus.IDLE:
-            raise ConfigurationError(f"{self.name} returned invalid status {status!r}")
+            status = _FAILURE
+        if status is not _RUNNING:
+            if status is not _SUCCESS and status is not _FAILURE:
+                raise ConfigurationError(f"{name} returned invalid status {status!r}")
+            entries[slot] = (name, status)
         self.status = status
-        trace._close(slot, status)
         return status
 
     def halt(self) -> None:
         for child in self.children:
             child.halt()
-        if self.status is NodeStatus.RUNNING:
+        if self.status is _RUNNING:
             self._on_halt()
         self._reset()
-        self.status = NodeStatus.IDLE
+        self.status = _IDLE
 
     # -- subclass hooks --------------------------------------------------
 
@@ -249,6 +253,7 @@ class _Composite(TreeNode):
     """
 
     stops_on: NodeStatus
+    exhausted: NodeStatus
     reactive: bool
 
     def __init__(self, name: str | None = None,
@@ -265,14 +270,13 @@ class _Composite(TreeNode):
             if status is _RUNNING or status is self.stops_on:
                 if self.reactive:
                     for child in children[index + 1:]:
-                        if child.status is not NodeStatus.IDLE:
+                        if child.status is not _IDLE:
                             child.halt()
                 else:
                     self._cursor = index if status is _RUNNING else 0
                 return status
         self._cursor = 0
-        return (NodeStatus.FAILURE if self.stops_on is NodeStatus.SUCCESS
-                else NodeStatus.SUCCESS)
+        return self.exhausted
 
     def _reset(self) -> None:
         self._cursor = 0
@@ -283,6 +287,7 @@ class Sequence(_Composite):
 
     kind = "sequence"
     stops_on = NodeStatus.FAILURE
+    exhausted = NodeStatus.SUCCESS
     reactive = False
 
 
@@ -291,6 +296,7 @@ class Fallback(_Composite):
 
     kind = "fallback"
     stops_on = NodeStatus.SUCCESS
+    exhausted = NodeStatus.FAILURE
     reactive = False
 
 
@@ -299,6 +305,7 @@ class ReactiveSequence(_Composite):
 
     kind = "reactive_sequence"
     stops_on = NodeStatus.FAILURE
+    exhausted = NodeStatus.SUCCESS
     reactive = True
 
 
@@ -307,6 +314,7 @@ class ReactiveFallback(_Composite):
 
     kind = "reactive_fallback"
     stops_on = NodeStatus.SUCCESS
+    exhausted = NodeStatus.FAILURE
     reactive = True
 
 
@@ -349,26 +357,26 @@ class RetryUntilSuccessful(TreeNode):
         if limit < 1:
             raise ConfigurationError(f"{self.name}: num_attempts must be >= 1, got {limit}")
         status = self.children[0].execute_tick(trace)
-        if status is NodeStatus.RUNNING:
-            return NodeStatus.RUNNING
-        if status is NodeStatus.SUCCESS:
+        if status is _RUNNING:
+            return _RUNNING
+        if status is _SUCCESS:
             self.attempts_consumed = self._failures + 1
             self._failures = 0
-            return NodeStatus.SUCCESS
+            return _SUCCESS
         reason = self.bb.peek(LAST_FAILURE_REASON)
         exempt = bool(self.exemption(self.bb))
         self.history.append((reason if isinstance(reason, str) else "", exempt))
         if exempt:
             self.bb.delete(LAST_FAILURE_REASON)
             self.children[0].halt()
-            return NodeStatus.RUNNING
+            return _RUNNING
         self._failures += 1
         if self._failures >= limit:
             self.attempts_consumed = self._failures
             self._failures = 0
-            return NodeStatus.FAILURE
+            return _FAILURE
         self.children[0].halt()
-        return NodeStatus.RUNNING
+        return _RUNNING
 
     def _reset(self) -> None:
         self._failures = 0
@@ -398,20 +406,19 @@ class SwitchStatement(TreeNode):
             self.default_index = len(children)
             children.append(default)
         super().__init__(name, children, {"variable": variable})
-        self.case_values = values
+        self._case_index = {value: index for index, value in enumerate(values)}
         self._active: int | None = None
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
         value = self.input("variable")
-        index = next((i for i, v in enumerate(self.case_values) if v == value),
-                     self.default_index)
+        index = self._case_index.get(value, self.default_index)
         if index is None:
             raise SwitchCaseError(
                 f"{self.name}: no case matches {value!r} and no default is defined")
         if self._active is not None and self._active != index:
             self.children[self._active].halt()
         status = self.children[index].execute_tick(trace)
-        self._active = index if status is NodeStatus.RUNNING else None
+        self._active = index if status is _RUNNING else None
         return status
 
     def _reset(self) -> None:
@@ -428,9 +435,9 @@ class ForceFailure(TreeNode):
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
         status = self.children[0].execute_tick(trace)
-        if status is NodeStatus.RUNNING:
-            return NodeStatus.RUNNING
-        return NodeStatus.FAILURE
+        if status is _RUNNING:
+            return _RUNNING
+        return _FAILURE
 
 
 class SubTreeScope(TreeNode):
@@ -479,7 +486,7 @@ class Condition(TreeNode):
         return self._predicate(self)
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
-        return NodeStatus.SUCCESS if self.check() else NodeStatus.FAILURE
+        return _SUCCESS if self.check() else _FAILURE
 
 
 class StatefulAction(TreeNode):
@@ -525,7 +532,7 @@ class StatefulAction(TreeNode):
             status = self.on_start()
         else:
             status = self.on_running()
-        if status is not NodeStatus.RUNNING:
+        if status is not _RUNNING:
             self._started = False
         return status
 
@@ -540,14 +547,14 @@ class AlwaysSuccess(TreeNode):
     kind = "always_success"
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
-        return NodeStatus.SUCCESS
+        return _SUCCESS
 
 
 class AlwaysFailure(TreeNode):
     kind = "always_failure"
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
-        return NodeStatus.FAILURE
+        return _FAILURE
 
 
 # ---------------------------------------------------------------------------

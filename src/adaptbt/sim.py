@@ -51,8 +51,15 @@ class DeviceInstance:
         if self.symmetry_order < 1:
             raise ValueError(f"{self.id}: symmetry_order must be >= 1")
         for label in ("stiffness", "damping", "static_friction"):
-            if getattr(self, label) < 0:
-                raise ValueError(f"{self.id}: {label} must be >= 0")
+            if not 0 <= getattr(self, label) < math.inf:
+                raise ValueError(f"{self.id}: {label} must be finite and >= 0")
+        for label in ("limit_spike_torque", "handle_angle"):
+            if not -math.inf < getattr(self, label) < math.inf:
+                raise ValueError(f"{self.id}: {label} must be finite")
+        # +inf means "no limit" here, as in the defaults
+        for label in ("joint_limit", "tightened_threshold"):
+            if not -math.inf < getattr(self, label) <= math.inf:
+                raise ValueError(f"{self.id}: {label} must be a number or +inf")
         if abs(self.handle_angle) > self.joint_limit:
             raise ValueError(f"{self.id}: handle_angle exceeds the joint limit")
 

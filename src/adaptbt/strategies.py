@@ -46,6 +46,10 @@ class StrategySpec:
     p_segment_failure: float
 
     def __post_init__(self):
+        for label in ("ft_limit", "angle_min", "angle_max", "twist_rate",
+                      "t_approach", "t_grasp", "t_retract", "p_segment_failure"):
+            if not -math.inf < getattr(self, label) < math.inf:
+                raise ValueError(f"{self.id}: {label} must be finite")
         if self.ft_limit <= 0:
             raise ValueError(f"{self.id}: ft_limit must be positive")
         if self.twist_rate <= 0:
@@ -79,8 +83,8 @@ class FTRecord:
     force: float = 0.0
 
     def __post_init__(self):
-        if self.torque < 0:
-            raise ValueError("torque must be >= 0")
+        if not 0.0 <= self.torque < math.inf:
+            raise ValueError(f"torque must be finite and >= 0, got {self.torque}")
 
     @property
     def key(self) -> tuple[str, int, int, float]:

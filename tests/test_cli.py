@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, file outputs."""
 
+import hashlib
 import json
 import math
 
@@ -223,6 +224,27 @@ class TestTick:
                       and "] diagnostic:" not in line]
         assert len(tick_lines) == round(reference.sim_time / 0.1)
 
+    # sha256 of the whole stdout of `tick --seed S` on the canonical tree.
+    # testB runs with experiment B's target, so it reaches the joint limit.
+    @pytest.mark.parametrize("seed,device,extra,digest", [
+        (3, "normal", {}, "0066af1df593959b92c9bb87ba7711613f561697f1d1ba7cab2f441232b2e748"),
+        (3, "stiff", {}, "b8fd4abf7c74443a7e32661cc0db10335575530dddfeb5c199e2b5198c3b24fb"),
+        (3, "testB", {"target_angle": math.inf},
+         "89e87e833155be9d4c9b429613aa8e316e19ee36c308652096606d9395afe173"),
+        (5, "normal", {}, "0994b4f67ccc8969802252a9cc4ac8ffdd544f4731fa6336934d410deb21ac15"),
+        (5, "stiff", {}, "660660a5f326cb49bb9832876480c6bcd4d8676a6c70cfbfdac64f552f136a14"),
+        (5, "testB", {"target_angle": math.inf},
+         "0323e43c43348dc88e41de7ef17607c02291554b69aeaabff672669f907deff1"),
+    ])
+    def test_trace_output_is_pinned(self, canonical_file, tmp_path, capsys,
+                                    seed, device, extra, digest):
+        config = write_config(tmp_path, {"device": device, **extra})
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--config", str(config), "--seed", str(seed)])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
     def test_tree_without_retry_reports_one_attempt(self, tmp_path, capsys):
         tree = tmp_path / "one.xml"
         tree.write_text(
@@ -264,6 +286,38 @@ class TestTick:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert key in err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command,payload,key", [
+        ("run", {"margin": math.nan}, "margin"),
+        ("run", {"dt": math.inf}, "dt"),
+        ("run", {"dt": math.nan}, "dt"),
+        ("run", {"target_angle": math.nan}, "target_angle"),
+        ("run", {"run_devices": []}, "run_devices"),
+        ("run", {"run_devices": [1]}, "run_devices"),
+        ("run", {"dt": 10 ** 400}, "dt"),
+        ("tick", {"margin": math.nan}, "margin"),
+        ("tick", {"dt": math.inf}, "dt"),
+        ("tick", {"margin": -math.inf}, "margin"),
+    ])
+    def test_non_finite_or_empty_value_exits_two(self, canonical_file, tmp_path,
+                                                 capsys, command, payload, key):
+        config = write_config(tmp_path, payload)
+        if command == "run":
+            argv = ["run", "--experiment", "C", "--behavior", "adaptive"]
+        else:
+            argv = ["tick", "--tree", str(canonical_file)]
+        code = main(argv + ["--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config {key} ")
+
+    def test_infinite_target_angle_accepted(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"target_angle": math.inf})
+        code = main(["run", "--experiment", "B", "--behavior", "adaptive",
+                     "--trials", "1", "--config", str(config)])
+        assert code in (0, 1)
+        assert capsys.readouterr().err == ""
 
 
 class TestConfigHelpers:

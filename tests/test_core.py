@@ -462,3 +462,54 @@ class TestSubTreeScope:
 
 def tick_count(trace, name):
     return trace.names().count(name)
+
+
+class TestEngineContract:
+    @pytest.mark.parametrize("value", [I, None, "success"])
+    def test_invalid_status_rejected(self, value):
+        bb = Blackboard()
+        leaf = StatefulAction("odd_leaf", on_start=lambda node: value)
+        tree = Sequence("seq", [leaf])
+        with pytest.raises(ConfigurationError, match="odd_leaf"):
+            tick_root(tree, bb)
+
+    def test_exempt_failure_halted_child_keeps_failure_in_trace(self):
+        bb = Blackboard()
+
+        def fail_exempt(node):
+            node.bb.set(LAST_FAILURE_REASON, "regrasp")
+            return F
+
+        leaf = StatefulAction("leaf", on_start=fail_exempt)
+        child = Sequence("attempt", [leaf])
+        tree = RetryUntilSuccessful(
+            child, num_attempts=1, exemption=reason_exemption(["regrasp"]),
+            name="retry")
+        status, trace = tick_root(tree, bb)
+        assert status is R
+        assert trace.entries == [("retry", R), ("attempt", F), ("leaf", F)]
+        # the retry halted its child after the failure was recorded
+        assert child.status is I and leaf.status is I
+        assert tree.history == [("regrasp", True)]
+
+    def test_switch_matches_by_type_and_value(self):
+        bb = Blackboard()
+        bb.set("mode", 1)
+        strict = SwitchStatement(Key("mode"), [("1", AlwaysSuccess("text"))],
+                                 name="strict")
+        with pytest.raises(SwitchCaseError):
+            tick_root(strict, bb)
+        with_default = SwitchStatement(
+            Key("mode"), [("1", AlwaysFailure("text"))],
+            default=AlwaysSuccess("other"), name="sw")
+        status, trace = tick_root(with_default, bb)
+        assert status is S
+        assert trace.names() == ["sw", "other"]
+
+    def test_unbound_key_port_names_plain_key(self):
+        bb = Blackboard()
+        reader = Condition("reader", predicate=lambda node: node.input("flag"),
+                           ports={"flag": Key("missing")})
+        status, trace = tick_root(Sequence("seq", [reader]), bb)
+        assert status is F
+        assert trace.diagnostics == ["reader: unbound blackboard key 'missing'"]

@@ -424,6 +424,20 @@ class TestDeviceInstance:
         with pytest.raises(ValueError):
             DeviceInstance("d", joint_limit=1.0, handle_angle=2.0)
 
+    @pytest.mark.parametrize("label", [
+        "stiffness", "damping", "static_friction", "limit_spike_torque",
+        "handle_angle"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, label, value):
+        with pytest.raises(ValueError, match=label):
+            DeviceInstance("d", **{label: value})
+
+    @pytest.mark.parametrize("label", ["joint_limit", "tightened_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_limits_reject_nan_and_minus_inf(self, label, value):
+        with pytest.raises(ValueError, match=label):
+            DeviceInstance("d", **{label: value})
+
     def test_defaults_allow_unbounded_twisting(self):
         device = DeviceInstance("d")
         assert math.isinf(device.joint_limit)

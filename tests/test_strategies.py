@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -209,6 +210,23 @@ class TestDataStore:
         with pytest.raises(ValueError):
             FTRecord("v", 1, 1, 0.1, -0.1)
 
+    @pytest.mark.parametrize("torque", [math.nan, math.inf])
+    def test_non_finite_torque_rejected(self, torque):
+        store = DataStore()
+        with pytest.raises(ValueError, match="finite"):
+            store.record("v", 1, 1, 0.1, torque)
+        assert len(store) == 0
+        assert store.max_torque("v") == 0.0
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_load_rejects_non_finite_torque(self, tmp_path, text):
+        path = tmp_path / "store.csv"
+        path.write_text("device_id,trial,attempt,sim_time,torque,force\n"
+                        "v,1,1,0.1,0.3,0.0\n"
+                        f"v,1,1,0.2,{text},0.0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load(path)
+
     def test_round_trip(self, tmp_path):
         rng = random.Random(31337)
         store = DataStore()
@@ -345,6 +363,14 @@ class TestStrategySpec:
             spec("s", 1.0, p_segment_failure=1.5)
         with pytest.raises(ValueError):
             spec("s", 1.0, t_grasp=-1.0)
+
+    @pytest.mark.parametrize("label", [
+        "ft_limit", "angle_min", "angle_max", "twist_rate", "t_approach",
+        "t_grasp", "t_retract", "p_segment_failure"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, label, value):
+        with pytest.raises(ValueError, match=label):
+            dataclasses.replace(LOW, **{label: value})
 
     def test_window_width_and_durations(self):
         s = spec("s", 1.0)
