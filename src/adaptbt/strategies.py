@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Condition,
@@ -28,7 +29,9 @@ STRATEGY_SWITCH = "strategy_switch"
 GENUINE = "genuine"
 EXEMPT_REASONS = (REGRASP, STRATEGY_SWITCH)
 
-STORE_FIELDS = ("device_id", "trial", "attempt", "sim_time", "torque", "force")
+# module globals: per record, a global load is cheaper than an attribute load
+_INF = math.inf
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,7 @@ class StrategySpec:
                 "retract": self.t_retract}[kind]
 
 
-@dataclass(frozen=True)
-class FTRecord:
-    """One wrist sensor reading taken during manipulation."""
-
+class _FTFields(NamedTuple):
     device_id: str
     trial: int
     attempt: int
@@ -82,13 +82,36 @@ class FTRecord:
     torque: float
     force: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.torque < math.inf:
-            raise ValueError(f"torque must be finite and >= 0, got {self.torque}")
+
+class FTRecord(_FTFields):
+    """One wrist sensor reading taken during manipulation.
+
+    An immutable tuple of the six store fields, validated on construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, device_id: str, trial: int, attempt: int,
+                sim_time: float, torque: float, force: float = 0.0):
+        if not -_INF < sim_time < _INF:
+            raise ValueError(f"sim_time must be finite, got {sim_time}")
+        if not 0.0 <= torque < _INF:
+            raise ValueError(f"torque must be finite and >= 0, got {torque}")
+        if not -_INF < force < _INF:
+            raise ValueError(f"force must be finite, got {force}")
+        return _tuple_new(cls, (device_id, trial, attempt, sim_time, torque, force))
+
+    @classmethod
+    def _make(cls, iterable) -> FTRecord:
+        # the inherited _make, which _replace calls, would skip validation
+        return cls(*iterable)
 
     @property
     def key(self) -> tuple[str, int, int, float]:
-        return (self.device_id, self.trial, self.attempt, self.sim_time)
+        return self[:4]
+
+
+STORE_FIELDS = FTRecord._fields
 
 
 class DataStore:
@@ -103,12 +126,19 @@ class DataStore:
         return len(self.records)
 
     def add(self, record: FTRecord) -> None:
-        if record.key in self._keys:
-            raise ValueError(f"duplicate record key {record.key}")
-        self._keys.add(record.key)
+        key = record[:4]
+        keys = self._keys
+        if key in keys:
+            raise ValueError(f"duplicate record key {key}")
+        keys.add(key)
         self.records.append(record)
-        previous = self._index.get(record.device_id, 0.0)
-        self._index[record.device_id] = max(previous, record.torque)
+        index = self._index
+        device_id = record[0]
+        torque = record[4]
+        if torque > index.get(device_id, 0.0):
+            index[device_id] = torque
+        elif device_id not in index:  # a device seen only at zero torque
+            index[device_id] = 0.0
 
     def record(self, device_id: str, trial: int, attempt: int,
                sim_time: float, torque: float, force: float = 0.0) -> None:
@@ -123,16 +153,17 @@ class DataStore:
 
 
 def persist(store: DataStore, path) -> None:
+    """Write the store as CSV; the writer formats floats with repr."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(STORE_FIELDS)
-        for rec in store.records:
-            writer.writerow([rec.device_id, rec.trial, rec.attempt,
-                             repr(rec.sim_time), repr(rec.torque), repr(rec.force)])
+        writer.writerows(store.records)
 
 
 def load(path) -> DataStore:
+    """Read a persisted store; every rejected row is named by its line."""
     store = DataStore()
+    add = store.add
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -144,9 +175,10 @@ def load(path) -> DataStore:
             if len(row) != len(STORE_FIELDS):
                 raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} fields, "
                                  f"got {len(row)}")
+            device_id, trial, attempt, sim_time, torque, force = row
             try:
-                store.record(row[0], int(row[1]), int(row[2]),
-                             float(row[3]), float(row[4]), float(row[5]))
+                add(FTRecord(device_id, int(trial), int(attempt),
+                             float(sim_time), float(torque), float(force)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return store

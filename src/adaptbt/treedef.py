@@ -24,6 +24,7 @@ and a literal value seeds a scope-local constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from xml.parsers import expat
 from xml.sax.saxutils import quoteattr
@@ -155,7 +156,10 @@ def convert_literal(text: str, type_name: str):
     if type_name == "int":
         return int(text)
     if type_name == "float":
-        return float(text)
+        value = float(text)
+        if -math.inf < value < math.inf:
+            return value
+        raise ValueError(f"expected a finite float, got {text!r}")
     return text
 
 
@@ -168,10 +172,12 @@ def infer_literal(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    return text
+        return text
+    if -math.inf < value < math.inf:
+        return value
+    raise ValueError(f"expected a finite number, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +526,24 @@ def validate_switch_coverage(doc: TreeDocument,
     return out
 
 
+def validate_subtree_seeds(doc: TreeDocument) -> list[Diagnostic]:
+    """Check SubTree seed constants: a numeric seed must be finite."""
+    out: list[Diagnostic] = []
+    for node in doc.trees.values():
+        for el in _walk(node):
+            if el.tag != "SubTree":
+                continue
+            for attr, value in el.attrs.items():
+                if attr in ("id", "name") or parse_binding(value) is not None:
+                    continue
+                try:
+                    infer_literal(value)
+                except ValueError as exc:
+                    out.append(Diagnostic(ERROR, el.line, el.col, "seed-value",
+                                          f"{attr}: {exc}"))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -656,7 +680,11 @@ def _build_node(el: RawElement, doc: TreeDocument,
             if key is not None:
                 remaps[attr] = key
             else:
-                seeds[attr] = infer_literal(value)
+                try:
+                    seeds[attr] = infer_literal(value)
+                except ValueError as exc:
+                    raise InstantiationError(
+                        f"line {el.line}: SubTree seed {attr!r}: {exc}") from None
         inner = _build_node(doc.trees[target], doc, registry)
         scope_name = el.attrs.get("name", target)
         return SubTreeScope(inner, remaps=remaps, seeds=seeds, name=scope_name)

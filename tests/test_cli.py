@@ -136,6 +136,20 @@ class TestValidate:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_non_finite_subtree_seed_fails(self, tmp_path, capsys):
+        text = canonical_tree_text(ALL_IDS)
+        seed = 'current_torque="0.0"'
+        line = text[:text.index(seed)].count("\n") + 1
+        tree = tmp_path / "nan.xml"
+        tree.write_text(text.replace(seed, 'current_torque="nan"', 1))
+        assert main(["validate", "--tree", str(tree)]) == 2
+        assert capsys.readouterr().out.startswith(f"error:{line}:")
+        assert main(["tick", "--tree", str(tree), "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"cannot instantiate tree: line {line}: SubTree seed 'current_torque'")
+        assert "episode:" not in captured.out
+
 
 class TestTick:
     def test_episode_dump_and_store(self, canonical_file, tmp_path, capsys):

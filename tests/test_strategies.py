@@ -200,6 +200,13 @@ class TestDataStore:
     def test_unknown_device_reads_zero(self):
         assert DataStore().max_torque("nope") == 0.0
 
+    def test_zero_torque_device_is_known(self):
+        store = DataStore()
+        store.record("z", 1, 1, 0.1, 0.0)
+        store.record("v", 1, 1, 0.1, 0.2)
+        assert store.devices() == ["v", "z"]
+        assert store.max_torque("z") == 0.0
+
     def test_duplicate_key_rejected(self):
         store = DataStore()
         store.record("v", 1, 1, 0.1, 0.3)
@@ -267,6 +274,91 @@ class TestDataStore:
         path.write_text("a,b\n")
         with pytest.raises(ValueError, match="line 1"):
             load(path)
+
+    @pytest.mark.parametrize("field", ["sim_time", "force"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_or_force_rejected(self, field, value):
+        store = DataStore()
+        store.record("v", 1, 1, 0.1, 0.3)
+        fields = dict(sim_time=0.2, torque=0.4, force=0.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            store.record("v", 1, 1, **fields)
+        assert len(store) == 1
+        assert store.max_torque("v") == 0.3
+
+    @pytest.mark.parametrize("row", ["v,1,1,nan,0.3,0.0", "v,1,1,inf,0.3,0.0",
+                                     "v,1,1,0.2,0.3,inf", "v,1,1,0.2,0.3,nan",
+                                     "v,1,1,0.2,0.3,-inf"])
+    def test_load_rejects_non_finite_time_or_force(self, tmp_path, row):
+        path = tmp_path / "store.csv"
+        path.write_text("device_id,trial,attempt,sim_time,torque,force\n"
+                        "v,1,1,0.1,0.3,0.0\n"
+                        "\n"
+                        f"{row}\n")
+        with pytest.raises(ValueError, match="line 4: .* must be finite"):
+            load(path)
+
+    def test_nan_sim_time_cannot_slip_past_duplicate_check(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text("device_id,trial,attempt,sim_time,torque,force\n"
+                        "v,1,1,nan,0.3,0.0\n"
+                        "v,1,1,nan,0.3,0.0\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load(path)
+
+    def test_duplicate_row_names_line(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text("device_id,trial,attempt,sim_time,torque,force\n"
+                        "v,1,1,0.1,0.3,0.0\n"
+                        "v,1,1,0.1,0.4,0.0\n")
+        with pytest.raises(ValueError, match="line 3: duplicate"):
+            load(path)
+
+    def test_persist_golden_bytes(self, tmp_path):
+        store = DataStore()
+        store.record("a,b", 1, 1, 0.1 + 0.2, 2)
+        store.record('say "hi"', 1, 2, 1e-20, 0.5, -1.25)
+        store.record("two words", 2, 1, 5e+300, 1e-20)
+        path = tmp_path / "store.csv"
+        persist(store, path)
+        assert path.read_bytes() == (
+            b"device_id,trial,attempt,sim_time,torque,force\n"
+            b'"a,b",1,1,0.30000000000000004,2,0.0\n'
+            b'"say ""hi""",1,2,1e-20,0.5,-1.25\n'
+            b"two words,2,1,5e+300,1e-20,0.0\n")
+
+    def test_persist_load_persist_is_byte_identical(self, tmp_path):
+        rng = random.Random(2718)
+        store = DataStore()
+        specials = [0.1 + 0.2, 1e-20, 5e+300, 0.0, 3.0]
+        for i in range(500):
+            store.record(rng.choice(["a,b", 'say "hi"', "two words", "v"]),
+                         rng.randint(1, 5), rng.randint(1, 5), 0.1 * i,
+                         rng.choice(specials + [rng.uniform(0.0, 5.0)]),
+                         rng.choice([0.0, -0.0, -2.5, rng.gauss(0.0, 1e-9)]))
+        first = tmp_path / "first.csv"
+        second = tmp_path / "second.csv"
+        persist(store, first)
+        persist(load(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_record_is_immutable_hashable_value(self):
+        record = FTRecord("v", 1, 2, 0.5, 0.3)
+        with pytest.raises(AttributeError):
+            record.torque = 1.0
+        assert repr(record) == ("FTRecord(device_id='v', trial=1, attempt=2, "
+                                "sim_time=0.5, torque=0.3, force=0.0)")
+        assert record.key == ("v", 1, 2, 0.5)
+        assert record == FTRecord("v", 1, 2, 0.5, 0.3, 0.0)
+        assert record != FTRecord("v", 1, 2, 0.5, 0.3, 0.1)
+        assert len({record, FTRecord("v", 1, 2, 0.5, 0.3)}) == 1
+
+    def test_replace_validates(self):
+        record = FTRecord("v", 1, 2, 0.5, 0.3)
+        assert record._replace(force=1.5) == FTRecord("v", 1, 2, 0.5, 0.3, 1.5)
+        with pytest.raises(ValueError, match="force must be finite"):
+            record._replace(force=math.nan)
 
 
 def tick_leaf(factory, ports, bb):

@@ -20,6 +20,7 @@ from adaptbt.treedef import (
     parse_tree_definition,
     serialize,
     structurally_equal,
+    validate_subtree_seeds,
     validate_switch_coverage,
 )
 
@@ -94,6 +95,13 @@ class TestParsing:
             '<Tree id="Main"><RetryUntilSuccessful num_attempts="soon">'
             '<AlwaysSuccess/></RetryUntilSuccessful></Tree>'))
         assert errors[0].rule == "port-value"
+
+    def test_non_finite_float_port_names_line(self):
+        errors = parse_errors(doc(
+            '<Leaf id="Move"><Port name="speed" direction="in" type="float"/>'
+            '</Leaf>\n'
+            '<Tree id="Main"><Move speed="nan"/></Tree>'))
+        assert [(e.line, e.rule) for e in errors] == [(3, "port-value")]
 
     def test_text_content_rejected(self):
         errors = parse_errors(doc('<Tree id="Main"><Sequence>beep</Sequence></Tree>'))
@@ -184,6 +192,14 @@ class TestBindingSyntax:
         assert infer_literal("5") == 5
         assert infer_literal("5.5") == 5.5
         assert infer_literal("low_torque") == "low_torque"
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-inf",
+                                      "Infinity", "1e400"])
+    def test_non_finite_literals_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            convert_literal(text, "float")
+        with pytest.raises(ValueError, match="finite"):
+            infer_literal(text)
 
 
 SWITCH_DOC = doc(
@@ -290,6 +306,19 @@ class TestInstantiation:
         assert trace.diagnostics == []
         assert bb.get("valve_angle") == 3.5
         assert not bb.has("gain")
+
+    @pytest.mark.parametrize("seed", ["nan", "-inf"])
+    def test_non_finite_subtree_seed(self, seed):
+        document = parse_ok(doc(
+            '<Tree id="Main"><Sequence>\n'
+            f'<SubTree id="Inner" angle="{{valve_angle}}" gain="{seed}"/>'
+            '</Sequence></Tree>'
+            '<Tree id="Inner"><AlwaysSuccess/></Tree>'))
+        [error] = validate_subtree_seeds(document)
+        assert (error.line, error.rule) == (3, "seed-value")
+        assert "gain" in error.message
+        with pytest.raises(InstantiationError, match="line 3: SubTree seed 'gain'"):
+            instantiate(document, LeafRegistry(), Blackboard())
 
     def test_unregistered_leaf_names_the_leaf(self):
         document = parse_ok(doc(
