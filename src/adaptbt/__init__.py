@@ -24,9 +24,7 @@ from .core import (
     TickTrace,
     TreeNode,
     UnboundKeyError,
-    halt_subtree,
     iter_nodes,
-    reason_exemption,
     tick_root,
 )
 from .treedef import (

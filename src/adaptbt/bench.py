@@ -14,6 +14,7 @@ Each behavior variant restricts which strategies the selector may choose:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import random
@@ -29,8 +30,8 @@ from .core import (
     iter_nodes,
     tick_root,
 )
-from .sim import DeviceInstance, World, lookup_pose_leaf, \
-    manipulate_target_leaf, motion_segment_leaf
+from .sim import DeviceInstance, LookupPose, ManipulateTarget, MotionSegment, \
+    World
 from .strategies import (
     DataStore,
     EXEMPT_REASONS,
@@ -121,6 +122,16 @@ class ExperimentConfig:
             raise BenchError(f"unknown store policy {self.store_policy!r}")
         if self.trials < 1 or self.num_attempts < 1:
             raise BenchError("trials and num_attempts must be >= 1")
+        if not self.devices:
+            raise BenchError("devices must name at least one device")
+        if not 0.0 < self.dt < math.inf:
+            raise BenchError(f"dt must be finite and > 0, got {self.dt}")
+        if not -math.inf < self.margin < math.inf:
+            raise BenchError(f"margin must be finite, got {self.margin}")
+        if math.isnan(self.target_angle):
+            raise BenchError("target_angle must not be NaN")
+        if self.max_ticks < 1:
+            raise BenchError(f"max_ticks must be >= 1, got {self.max_ticks}")
 
 
 _EXPERIMENT_DEFAULTS = {
@@ -326,12 +337,15 @@ def episode_leaf_registry(world: World, store: DataStore,
     registry.register("IsTightened", is_tightened_leaf())
     registry.register("AngleWithinLimits", angle_within_limits_leaf(by_id))
     registry.register("FTWithinLimits", ft_within_limits_leaf(by_id))
-    registry.register("LookupPose", lookup_pose_leaf(world, by_id))
+    registry.register("LookupPose", functools.partial(
+        LookupPose, world=world, registry=by_id))
     for kind, leaf_id in (("approach", "Approach"), ("grasp", "Grasp"),
                           ("retract", "Retract")):
-        registry.register(leaf_id, motion_segment_leaf(world, by_id, kind))
-    registry.register("ManipulateTarget", manipulate_target_leaf(
-        world, by_id, store, trial, lambda: probe.attempt))
+        registry.register(leaf_id, functools.partial(
+            MotionSegment, world=world, registry=by_id, segment_kind=kind))
+    registry.register("ManipulateTarget", functools.partial(
+        ManipulateTarget, world=world, registry=by_id, store=store,
+        trial=trial, attempt_source=lambda: probe.attempt))
     return registry
 
 

@@ -10,8 +10,8 @@ import enum
 from typing import Callable, Iterator, Sequence as SequenceT
 
 # Reserved blackboard key: failing leaves record why they failed here, the
-# retry decorator's exemption predicate reads it and the engine clears it
-# once an exemption is consumed.
+# retry decorator matches it against its exempt reasons and the engine
+# clears it once an exemption is consumed.
 LAST_FAILURE_REASON = "last_failure_reason"
 
 # Sentinel strategy id meaning "nothing viable"; shared vocabulary between
@@ -153,8 +153,6 @@ class TreeNode:
     and all node-local state returns to Idle.
     """
 
-    kind = "node"
-
     def __init__(self, name: str | None = None,
                  children: SequenceT["TreeNode"] | None = None,
                  ports: dict[str, object] | None = None):
@@ -285,7 +283,6 @@ class _Composite(TreeNode):
 class Sequence(_Composite):
     """Success requires every child to succeed; the first Failure fails it."""
 
-    kind = "sequence"
     stops_on = NodeStatus.FAILURE
     exhausted = NodeStatus.SUCCESS
     reactive = False
@@ -294,7 +291,6 @@ class Sequence(_Composite):
 class Fallback(_Composite):
     """Fails only if every child fails; the first Success succeeds it."""
 
-    kind = "fallback"
     stops_on = NodeStatus.SUCCESS
     exhausted = NodeStatus.FAILURE
     reactive = False
@@ -303,7 +299,6 @@ class Fallback(_Composite):
 class ReactiveSequence(_Composite):
     """Sequence that re-ticks all children from the start on every cycle."""
 
-    kind = "reactive_sequence"
     stops_on = NodeStatus.FAILURE
     exhausted = NodeStatus.SUCCESS
     reactive = True
@@ -312,7 +307,6 @@ class ReactiveSequence(_Composite):
 class ReactiveFallback(_Composite):
     """Fallback that re-ticks all children from the start on every cycle."""
 
-    kind = "reactive_fallback"
     stops_on = NodeStatus.SUCCESS
     exhausted = NodeStatus.FAILURE
     reactive = True
@@ -322,32 +316,20 @@ class ReactiveFallback(_Composite):
 # decorators
 
 
-def reason_exemption(reasons: SequenceT[str]) -> Callable[[Blackboard], bool]:
-    """Exemption predicate: true when the recorded failure reason is in `reasons`."""
-    allowed = frozenset(reasons)
-
-    def predicate(bb: Blackboard) -> bool:
-        return bb.peek(LAST_FAILURE_REASON) in allowed
-
-    return predicate
-
-
 class RetryUntilSuccessful(TreeNode):
     """Re-ticks the child after a Failure, up to num_attempts non-exempt failures.
 
-    A failure for which the exemption predicate holds restarts the child
-    without consuming an attempt; the engine clears the reason flag after
-    consuming such an exemption. `history` and `attempts_consumed` are
+    A failure whose recorded reason is one of `exempt_reasons` restarts the
+    child without consuming an attempt; the engine clears the reason flag
+    after consuming such an exemption. `history` and `attempts_consumed` are
     observability attributes for harnesses and survive resets.
     """
 
-    kind = "retry"
-
     def __init__(self, child: TreeNode, num_attempts,
-                 exemption: Callable[[Blackboard], bool] | None = None,
+                 exempt_reasons: SequenceT[str] = (),
                  name: str | None = None):
         super().__init__(name, [child], {"num_attempts": num_attempts})
-        self.exemption = exemption or (lambda bb: False)
+        self.exempt_reasons = frozenset(exempt_reasons)
         self._failures = 0
         self.history: list[tuple[str, bool]] = []
         self.attempts_consumed = 0
@@ -364,7 +346,7 @@ class RetryUntilSuccessful(TreeNode):
             self._failures = 0
             return _SUCCESS
         reason = self.bb.peek(LAST_FAILURE_REASON)
-        exempt = bool(self.exemption(self.bb))
+        exempt = reason in self.exempt_reasons
         self.history.append((reason if isinstance(reason, str) else "", exempt))
         if exempt:
             self.bb.delete(LAST_FAILURE_REASON)
@@ -389,8 +371,6 @@ class SwitchStatement(TreeNode):
     is halted and the newly matching child is ticked in the same cycle.
     No matching case and no default is a configuration error.
     """
-
-    kind = "switch"
 
     def __init__(self, variable, cases: SequenceT[tuple[str, TreeNode]],
                  default: TreeNode | None = None, name: str | None = None):
@@ -428,8 +408,6 @@ class SwitchStatement(TreeNode):
 class ForceFailure(TreeNode):
     """Passes Running through; converts any terminal child status to Failure."""
 
-    kind = "force_failure"
-
     def __init__(self, child: TreeNode, name: str | None = None):
         super().__init__(name, [child])
 
@@ -446,8 +424,6 @@ class SubTreeScope(TreeNode):
     `remaps` expose parent keys inside the scope under local names; `seeds`
     are constants written into the scope when the tree is bound.
     """
-
-    kind = "subtree"
 
     def __init__(self, child: TreeNode, remaps: dict[str, str] | None = None,
                  seeds: dict[str, object] | None = None, name: str | None = None):
@@ -471,8 +447,6 @@ class SubTreeScope(TreeNode):
 
 class Condition(TreeNode):
     """Leaf evaluating a boolean predicate over the blackboard each tick."""
-
-    kind = "condition"
 
     def __init__(self, name: str | None = None,
                  predicate: Callable[["Condition"], bool] | None = None,
@@ -498,8 +472,6 @@ class StatefulAction(TreeNode):
     Running.
     """
 
-    kind = "action"
-
     def __init__(self, name: str | None = None,
                  ports: dict[str, object] | None = None,
                  on_start: Callable[["StatefulAction"], NodeStatus] | None = None,
@@ -509,7 +481,6 @@ class StatefulAction(TreeNode):
         self._start_cb = on_start
         self._running_cb = on_running
         self._halted_cb = on_halted
-        self._started = False
 
     def on_start(self) -> NodeStatus:
         if self._start_cb is None:
@@ -527,32 +498,22 @@ class StatefulAction(TreeNode):
             self._halted_cb(self)
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
-        if not self._started:
-            self._started = True
-            status = self.on_start()
-        else:
-            status = self.on_running()
-        if status is not _RUNNING:
-            self._started = False
-        return status
+        # execute_tick stores every visit's status and halt resets it to
+        # Idle, so Running here means this execution has already started
+        if self.status is _RUNNING:
+            return self.on_running()
+        return self.on_start()
 
     def _on_halt(self) -> None:
         self.on_halted()
 
-    def _reset(self) -> None:
-        self._started = False
-
 
 class AlwaysSuccess(TreeNode):
-    kind = "always_success"
-
     def _tick(self, trace: TickTrace) -> NodeStatus:
         return _SUCCESS
 
 
 class AlwaysFailure(TreeNode):
-    kind = "always_failure"
-
     def _tick(self, trace: TickTrace) -> NodeStatus:
         return _FAILURE
 
@@ -570,11 +531,6 @@ def tick_root(tree: TreeNode, blackboard: Blackboard) -> tuple[NodeStatus, TickT
     trace = TickTrace()
     status = tree.execute_tick(trace)
     return status, trace
-
-
-def halt_subtree(node: TreeNode) -> None:
-    """Halt every Running node under `node` depth-first and reset to Idle."""
-    node.halt()
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:

@@ -305,29 +305,3 @@ def draw_segment_failure(rng: random.Random, p_failure: float,
     if steps <= 1:
         return 1
     return 1 + int(rng.random() * (steps - 1))
-
-
-# ---------------------------------------------------------------------------
-# leaf factories
-
-
-def lookup_pose_leaf(world: World, registry: dict[str, StrategySpec]):
-    def factory(name, ports):
-        return LookupPose(name, ports, world, registry)
-    return factory
-
-
-def motion_segment_leaf(world: World, registry: dict[str, StrategySpec],
-                        segment_kind: str):
-    def factory(name, ports):
-        return MotionSegment(name, ports, world, registry, segment_kind)
-    return factory
-
-
-def manipulate_target_leaf(world: World, registry: dict[str, StrategySpec],
-                           store: DataStore, trial: int = 1,
-                           attempt_source=None):
-    def factory(name, ports):
-        return ManipulateTarget(name, ports, world, registry, store,
-                                trial, attempt_source)
-    return factory

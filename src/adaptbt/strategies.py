@@ -74,6 +74,13 @@ class StrategySpec:
                 "retract": self.t_retract}[kind]
 
 
+def _as_float(field: str, value) -> float:
+    """FTRecord's path for a number that is not a float: ints convert, bools do not."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 class _FTFields(NamedTuple):
     device_id: str
     trial: int
@@ -87,12 +94,23 @@ class FTRecord(_FTFields):
     """One wrist sensor reading taken during manipulation.
 
     An immutable tuple of the six store fields, validated on construction.
+    `trial` and `attempt` must be ints; `sim_time`, `torque` and `force` are
+    stored as floats, so every record persists in the form `load` reads back.
     """
 
     __slots__ = ()
 
     def __new__(cls, device_id: str, trial: int, attempt: int,
                 sim_time: float, torque: float, force: float = 0.0):
+        if type(trial) is not int or type(attempt) is not int:
+            raise TypeError(f"trial and attempt must be int, got "
+                            f"{trial!r} and {attempt!r}")
+        if type(sim_time) is not float:
+            sim_time = _as_float("sim_time", sim_time)
+        if type(torque) is not float:
+            torque = _as_float("torque", torque)
+        if type(force) is not float:
+            force = _as_float("force", force)
         if not -_INF < sim_time < _INF:
             raise ValueError(f"sim_time must be finite, got {sim_time}")
         if not 0.0 <= torque < _INF:

@@ -36,6 +36,7 @@ from .core import (
     Fallback,
     ForceFailure,
     Key,
+    NO_STRATEGIES,
     ReactiveFallback,
     ReactiveSequence,
     RetryUntilSuccessful,
@@ -43,7 +44,6 @@ from .core import (
     SubTreeScope,
     SwitchStatement,
     TreeNode,
-    reason_exemption,
 )
 
 ERROR = "error"
@@ -102,12 +102,6 @@ class PortSpec:
 class LeafSpec:
     name: str
     ports: tuple[PortSpec, ...]
-
-    def port(self, name: str) -> PortSpec | None:
-        for spec in self.ports:
-            if spec.name == name:
-                return spec
-        return None
 
 
 @dataclass
@@ -337,7 +331,10 @@ class _Analyzer:
             self._check_attrs(el, allowed={"num_attempts", "exempt_reasons"},
                               required={"num_attempts"})
             self._port_value(el, "num_attempts", "int")
-            self._port_value(el, "exempt_reasons", "str")
+            if self._port_value(el, "exempt_reasons", "str") is not None:
+                self.error(el, "port-value",
+                           "port 'exempt_reasons' expects a literal list, "
+                           "not a blackboard binding")
             self._decorator_arity(el)
         elif tag == "SwitchStatement":
             self._switch(el)
@@ -497,8 +494,7 @@ def parse_tree_definition(text: str) -> ParseResult:
 
 
 def validate_switch_coverage(doc: TreeDocument,
-                             strategy_ids: set[str],
-                             sentinel: str = "no_strategies") -> list[Diagnostic]:
+                             strategy_ids: set[str]) -> list[Diagnostic]:
     """Check strategy-selector switches against the registry's strategy ids.
 
     Every switch on the document's strategy variable needs one case per
@@ -507,7 +503,7 @@ def validate_switch_coverage(doc: TreeDocument,
     """
     if doc.strategy_var is None:
         return []
-    wanted = set(strategy_ids) | {sentinel}
+    wanted = set(strategy_ids) | {NO_STRATEGIES}
     variable = "{" + doc.strategy_var + "}"
     out: list[Diagnostic] = []
     for node in doc.trees.values():
@@ -647,17 +643,15 @@ def _build_node(el: RawElement, doc: TreeDocument,
         return ForceFailure(_build_node(el.children[0], doc, registry), name=name)
     if tag == "RetryUntilSuccessful":
         num_attempts = _port_binding(el, "num_attempts", "int")
-        exemption = None
-        raw_reasons = el.attrs.get("exempt_reasons")
-        if raw_reasons is not None:
-            if parse_binding(raw_reasons) is not None:
-                raise InstantiationError(
-                    f"{name}: exempt_reasons must be a constant list")
-            reasons = [r for r in raw_reasons.split(REASON_SEPARATOR) if r]
-            exemption = reason_exemption(reasons)
+        raw_reasons = el.attrs.get("exempt_reasons", "")
+        if parse_binding(raw_reasons) is not None:
+            raise InstantiationError(
+                f"{name}: exempt_reasons must be a constant list")
         return RetryUntilSuccessful(
             _build_node(el.children[0], doc, registry),
-            num_attempts=num_attempts, exemption=exemption, name=name)
+            num_attempts=num_attempts,
+            exempt_reasons=[r for r in raw_reasons.split(REASON_SEPARATOR) if r],
+            name=name)
     if tag == "SwitchStatement":
         variable = Key(parse_binding(el.attrs["variable"]))
         cases = []

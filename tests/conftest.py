@@ -30,8 +30,6 @@ class ScriptedLeaf(TreeNode):
     models the environment changing over time.
     """
 
-    kind = "scripted"
-
     def __init__(self, schedule, name=None):
         super().__init__(name or f"leaf[{schedule}]")
         self.schedule = schedule

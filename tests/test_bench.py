@@ -132,6 +132,15 @@ class TestConfig:
         with pytest.raises(BenchError):
             make_config(seed=SEED, **kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("dt", -0.1), ("dt", math.inf), ("dt", math.nan),
+        ("margin", math.nan), ("margin", math.inf), ("margin", -math.inf),
+        ("target_angle", math.nan), ("max_ticks", 0), ("devices", ()),
+    ])
+    def test_bad_numbers_rejected_naming_field(self, field, value):
+        with pytest.raises(BenchError, match=field):
+            make_config("A", "adaptive", SEED, **{field: value})
+
     def test_unknown_device_rejected(self):
         cfg = make_config("A", "low", SEED, devices=("ghost",), trials=1)
         with pytest.raises(BenchError, match="ghost"):

@@ -150,6 +150,22 @@ class TestValidate:
             f"cannot instantiate tree: line {line}: SubTree seed 'current_torque'")
         assert "episode:" not in captured.out
 
+    def test_exempt_reasons_binding_fails_validate_and_tick(self, tmp_path,
+                                                            capsys):
+        text = canonical_tree_text(ALL_IDS)
+        literal = 'exempt_reasons="regrasp;strategy_switch"'
+        line = text[:text.index(literal)].count("\n") + 1
+        tree = tmp_path / "bound.xml"
+        tree.write_text(text.replace(literal, 'exempt_reasons="{reasons}"'))
+        assert main(["validate", "--tree", str(tree)]) == 2
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(f"error:{line}:")
+        assert ":port-value:" in stdout
+        assert main(["tick", "--tree", str(tree), "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"error:{line}:")
+        assert "episode:" not in captured.out
+
 
 class TestTick:
     def test_episode_dump_and_store(self, canonical_file, tmp_path, capsys):

@@ -21,9 +21,7 @@ from adaptbt.core import (
     SwitchStatement,
     TickTrace,
     UnboundKeyError,
-    halt_subtree,
     iter_nodes,
-    reason_exemption,
     tick_root,
 )
 from conftest import ScriptedLeaf
@@ -254,7 +252,7 @@ class TestRetry:
         child = ExemptThenSucceed()
         tree = RetryUntilSuccessful(
             child, num_attempts=1,
-            exemption=reason_exemption(["regrasp", "strategy_switch"]), name="retry")
+            exempt_reasons=["regrasp", "strategy_switch"], name="retry")
         statuses = [tick_root(tree, bb)[0] for _ in range(4)]
         assert statuses == [R, R, R, S]
         assert tree.attempts_consumed == 1
@@ -330,7 +328,7 @@ class TestHalt:
     def test_halt_idle_tree_is_noop(self):
         action = CountingAction("RS")
         tree = Sequence("seq", [action])
-        halt_subtree(tree)
+        tree.halt()
         assert action.halts == 0
         assert tree.status is I
 
@@ -341,7 +339,7 @@ class TestHalt:
         running = CountingAction("RRR", name="c")
         tree = Sequence("seq", [done_a, done_b, running])
         tick_root(tree, bb)
-        halt_subtree(tree)
+        tree.halt()
         assert (done_a.halts, done_b.halts, running.halts) == (0, 0, 1)
         for node in iter_nodes(tree):
             assert node.status is I
@@ -350,7 +348,7 @@ class TestHalt:
         bb = Blackboard()
         action = CountingAction("RRS")
         tick_root(action, bb)
-        halt_subtree(action)
+        action.halt()
         assert action.halts == 1
         assert action.status is I
 
@@ -368,7 +366,7 @@ class TestHalt:
 
         used = build()
         tick_root(used, bb)
-        halt_subtree(used)
+        used.halt()
         replay_trace = [tick_root(used, bb)[1].entries]
         assert replay_trace == fresh_trace
 
@@ -483,8 +481,7 @@ class TestEngineContract:
         leaf = StatefulAction("leaf", on_start=fail_exempt)
         child = Sequence("attempt", [leaf])
         tree = RetryUntilSuccessful(
-            child, num_attempts=1, exemption=reason_exemption(["regrasp"]),
-            name="retry")
+            child, num_attempts=1, exempt_reasons=["regrasp"], name="retry")
         status, trace = tick_root(tree, bb)
         assert status is R
         assert trace.entries == [("retry", R), ("attempt", F), ("leaf", F)]

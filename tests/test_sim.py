@@ -9,17 +9,16 @@ from adaptbt.core import (
     LAST_FAILURE_REASON,
     NodeStatus,
     ReactiveSequence,
-    halt_subtree,
     tick_root,
 )
 from adaptbt.sim import (
     DeviceInstance,
     SimulationError,
+    LookupPose,
+    ManipulateTarget,
+    MotionSegment,
     World,
     draw_segment_failure,
-    lookup_pose_leaf,
-    manipulate_target_leaf,
-    motion_segment_leaf,
     reactive_torque,
 )
 from adaptbt.strategies import (
@@ -156,8 +155,7 @@ class TestMotionSegments:
         world = World(plain_valve())
         bb = Blackboard()
         bb.set("strategy_id", "low_torque")
-        leaf = motion_segment_leaf(world, REGISTRY, "approach")("approach",
-                                                                STRATEGY_PORT)
+        leaf = MotionSegment("approach", STRATEGY_PORT, world, REGISTRY, "approach")
         status, ticks = self.run_leaf(leaf, bb, world)
         assert status is S
         assert ticks == 80
@@ -168,7 +166,7 @@ class TestMotionSegments:
         world = World(plain_valve())
         bb = Blackboard()
         bb.set("strategy_id", "low_torque")
-        leaf = motion_segment_leaf(world, REGISTRY, "grasp")("grasp", STRATEGY_PORT)
+        leaf = MotionSegment("grasp", STRATEGY_PORT, world, REGISTRY, "grasp")
         status, _ = tick_root(leaf, bb)
         assert status is F
         assert bb.get(LAST_FAILURE_REASON) == GENUINE
@@ -178,9 +176,9 @@ class TestMotionSegments:
         world.approached = True
         bb = Blackboard()
         bb.set("strategy_id", "low_torque")
-        lookup = lookup_pose_leaf(world, REGISTRY)("lookup", LOOKUP_PORTS)
+        lookup = LookupPose("lookup", LOOKUP_PORTS, world, REGISTRY)
         assert tick_root(lookup, bb)[0] is S
-        leaf = motion_segment_leaf(world, REGISTRY, "grasp")("grasp", STRATEGY_PORT)
+        leaf = MotionSegment("grasp", STRATEGY_PORT, world, REGISTRY, "grasp")
         status, ticks = self.run_leaf(leaf, bb, world)
         assert status is S
         assert ticks == 40
@@ -194,8 +192,7 @@ class TestMotionSegments:
         world.set_grasp(1.0)
         bb = Blackboard()
         bb.set("strategy_id", "low_torque")
-        leaf = motion_segment_leaf(world, REGISTRY, "retract")("retract",
-                                                               STRATEGY_PORT)
+        leaf = MotionSegment("retract", STRATEGY_PORT, world, REGISTRY, "retract")
         status, ticks = self.run_leaf(leaf, bb, world)
         assert status is S
         assert ticks == 40
@@ -206,8 +203,8 @@ class TestMotionSegments:
         world = World(plain_valve(), rng=random.Random(5))
         bb = Blackboard()
         bb.set("strategy_id", "low_torque")
-        leaf = motion_segment_leaf(world, {"low_torque": spec},
-                                   "approach")("approach", STRATEGY_PORT)
+        leaf = MotionSegment("approach", STRATEGY_PORT, world,
+                             {"low_torque": spec}, "approach")
         status, ticks = self.run_leaf(leaf, bb, world)
         assert status is F
         assert bb.get(LAST_FAILURE_REASON) == GENUINE
@@ -222,7 +219,7 @@ class TestMotionSegments:
                              ("grasp", lambda: world.grasped)]:
             if kind == "grasp":
                 world.planned_reference = 0.0
-            leaf = motion_segment_leaf(world, REGISTRY, kind)(kind, STRATEGY_PORT)
+            leaf = MotionSegment(kind, STRATEGY_PORT, world, REGISTRY, kind)
             status, _ = self.run_leaf(leaf, bb, world)
             assert status is S
             assert effect()
@@ -274,9 +271,9 @@ class TestManipulateTarget:
         bb.set("twist_progress", 0.0)
         bb.set("current_torque", 0.0)
         registry = REGISTRY
-        lookup = lookup_pose_leaf(world, registry)("lookup", LOOKUP_PORTS)
+        lookup = LookupPose("lookup", LOOKUP_PORTS, world, registry)
         angle_cond = angle_within_limits_leaf(registry)("angle_ok", ANGLE_PORTS)
-        manip = manipulate_target_leaf(world, registry, store)("twist", MANIP_PORTS)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, registry, store)
         loop = ReactiveSequence("twist_loop", [angle_cond, manip])
         return world, store, bb, lookup, loop
 
@@ -345,13 +342,12 @@ class TestManipulateTarget:
     def test_halted_twist_resumes_from_progress(self):
         world, store, bb, lookup, loop = self.setup_episode(3.0, plain_valve())
         self.grasp_now(world, bb, lookup)
-        manip = manipulate_target_leaf(world, REGISTRY, store,
-                                       attempt_source=lambda: 2)("twist",
-                                                                 MANIP_PORTS)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store,
+                                 attempt_source=lambda: 2)
         for _ in range(77):
             assert tick_root(manip, bb)[0] is R
             world.advance()
-        halt_subtree(manip)
+        manip.halt()
         reached = bb.get("twist_progress")
         assert reached == pytest.approx(77 * LOW.twist_rate * DT)
         ticks = 0
@@ -365,7 +361,7 @@ class TestManipulateTarget:
 
     def test_requires_grasp(self):
         world, store, bb, lookup, loop = self.setup_episode(1.0, plain_valve())
-        manip = manipulate_target_leaf(world, REGISTRY, store)("twist", MANIP_PORTS)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store)
         status, _ = tick_root(manip, bb)
         assert status is F
         assert bb.get(LAST_FAILURE_REASON) == GENUINE
@@ -374,7 +370,7 @@ class TestManipulateTarget:
         world, store, bb, lookup, loop = self.setup_episode(1.0, plain_valve())
         self.grasp_now(world, bb, lookup)
         bb.set("twist_progress", 1.5)
-        manip = manipulate_target_leaf(world, REGISTRY, store)("twist", MANIP_PORTS)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store)
         assert tick_root(manip, bb)[0] is S
         assert len(store) == 0
 
@@ -383,7 +379,7 @@ class TestLookupPose:
     def lookup(self, world, registry=None):
         bb = Blackboard()
         bb.set("strategy_id", "low_torque")
-        leaf = lookup_pose_leaf(world, registry or REGISTRY)("lookup", LOOKUP_PORTS)
+        leaf = LookupPose("lookup", LOOKUP_PORTS, world, registry or REGISTRY)
         status, _ = tick_root(leaf, bb)
         return status, bb
 

@@ -324,7 +324,7 @@ class TestDataStore:
         persist(store, path)
         assert path.read_bytes() == (
             b"device_id,trial,attempt,sim_time,torque,force\n"
-            b'"a,b",1,1,0.30000000000000004,2,0.0\n'
+            b'"a,b",1,1,0.30000000000000004,2.0,0.0\n'
             b'"say ""hi""",1,2,1e-20,0.5,-1.25\n'
             b"two words,2,1,5e+300,1e-20,0.0\n")
 
@@ -342,6 +342,34 @@ class TestDataStore:
         persist(store, first)
         persist(load(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+    def test_int_numbers_round_trip_as_floats(self, tmp_path):
+        rng = random.Random(1618)
+        store = DataStore()
+        for i in range(200):
+            store.record(rng.choice(["a,b", "v"]), rng.randint(1, 5),
+                         rng.randint(1, 5), rng.choice([i, i + 0.5]),
+                         rng.choice([0, 2, 3.0, rng.uniform(0.0, 5.0)]),
+                         rng.choice([0, -2, 0.0, 1.5]))
+        for record in store.records:
+            assert [type(v) for v in record[1:]] == [int, int, float, float, float]
+        first = tmp_path / "first.csv"
+        second = tmp_path / "second.csv"
+        persist(store, first)
+        loaded = load(first)
+        assert loaded.records == store.records
+        persist(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("fields", [
+        (1, 1.0, 3.0, 1.5, 0.0), (1.0, 1, 3.0, 1.5, 0.0),
+        (True, 1, 3.0, 1.5, 0.0), (1, False, 3.0, 1.5, 0.0),
+        (1, 1, True, 1.5, 0.0), (1, 1, 3.0, True, 0.0), (1, 1, 3.0, 1.5, False)])
+    def test_non_int_counter_or_bool_number_rejected(self, fields):
+        store = DataStore()
+        with pytest.raises(TypeError):
+            store.record("v", *fields)
+        assert len(store) == 0
 
     def test_record_is_immutable_hashable_value(self):
         record = FTRecord("v", 1, 2, 0.5, 0.3)

@@ -103,6 +103,23 @@ class TestParsing:
             '<Tree id="Main"><Move speed="nan"/></Tree>'))
         assert [(e.line, e.rule) for e in errors] == [(3, "port-value")]
 
+    def test_exempt_reasons_binding_names_line(self):
+        errors = parse_errors(doc(
+            '<Tree id="Main">\n'
+            '<RetryUntilSuccessful num_attempts="2" exempt_reasons="{reasons}">'
+            '<AlwaysSuccess/></RetryUntilSuccessful></Tree>'))
+        assert [(e.line, e.rule) for e in errors] == [(3, "port-value")]
+        assert "exempt_reasons" in errors[0].message
+
+    def test_exempt_reasons_binding_rejected_by_instantiate(self):
+        document = parse_ok(doc(
+            '<Tree id="Main"><RetryUntilSuccessful num_attempts="2" '
+            'exempt_reasons="regrasp"><AlwaysSuccess/></RetryUntilSuccessful>'
+            '</Tree>'))
+        document.trees["Main"].attrs["exempt_reasons"] = "{reasons}"
+        with pytest.raises(InstantiationError, match="exempt_reasons"):
+            instantiate(document, LeafRegistry(), Blackboard())
+
     def test_text_content_rejected(self):
         errors = parse_errors(doc('<Tree id="Main"><Sequence>beep</Sequence></Tree>'))
         assert any(e.rule == "text-content" for e in errors)
