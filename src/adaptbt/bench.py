@@ -99,47 +99,58 @@ class EpisodeResult:
     failure_reasons: tuple[str, ...]
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    behavior: str
-    seed: int
-    trials: int
-    num_attempts: int
-    devices: tuple[str, ...]
-    target_angle: float
-    store_policy: str  # "reset" per trial or "retain" across trials
+@dataclass(frozen=True)
+class EpisodeSettings:
+    """The numbers of one episode; every range check on them lives here."""
+    target_angle: float = math.pi / 2
+    num_attempts: int = 5
     dt: float = 0.1
     margin: float = 0.0
     max_ticks: int = 200_000
 
     def __post_init__(self):
+        if math.isnan(self.target_angle):
+            raise BenchError("target_angle must not be NaN")
+        if self.num_attempts < 1:
+            raise BenchError(f"num_attempts must be >= 1, got {self.num_attempts}")
+        if not 0.0 < self.dt < math.inf:
+            raise BenchError(f"dt must be finite and > 0, got {self.dt}")
+        if not -math.inf < self.margin < math.inf:
+            raise BenchError(f"margin must be finite, got {self.margin}")
+        if self.max_ticks < 1:
+            raise BenchError(f"max_ticks must be >= 1, got {self.max_ticks}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(EpisodeSettings):
+    experiment: str
+    behavior: str
+    seed: int
+    trials: int
+    devices: tuple[str, ...]
+    store_policy: str  # "reset" per trial or "retain" across trials
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.experiment not in EXPERIMENTS:
             raise BenchError(f"unknown experiment {self.experiment!r}")
         if self.behavior not in BEHAVIORS:
             raise BenchError(f"unknown behavior {self.behavior!r}")
         if self.store_policy not in ("reset", "retain"):
             raise BenchError(f"unknown store policy {self.store_policy!r}")
-        if self.trials < 1 or self.num_attempts < 1:
-            raise BenchError("trials and num_attempts must be >= 1")
-        if not self.devices:
-            raise BenchError("devices must name at least one device")
-        if not 0.0 < self.dt < math.inf:
-            raise BenchError(f"dt must be finite and > 0, got {self.dt}")
-        if not -math.inf < self.margin < math.inf:
-            raise BenchError(f"margin must be finite, got {self.margin}")
-        if math.isnan(self.target_angle):
-            raise BenchError("target_angle must not be NaN")
-        if self.max_ticks < 1:
-            raise BenchError(f"max_ticks must be >= 1, got {self.max_ticks}")
+        if self.trials < 1:
+            raise BenchError(f"trials must be >= 1, got {self.trials}")
+        if not self.devices or len(set(self.devices)) != len(self.devices):
+            raise BenchError(f"devices must name one or more distinct ids, "
+                             f"got {self.devices}")
 
 
 _EXPERIMENT_DEFAULTS = {
-    "A": dict(trials=10, num_attempts=5, devices=("testA",),
+    "A": dict(trials=10, devices=("testA",),
               target_angle=7.0, store_policy="reset"),
-    "B": dict(trials=10, num_attempts=5, devices=("testB",),
+    "B": dict(trials=10, devices=("testB",),
               target_angle=math.inf, store_policy="reset"),
-    "C": dict(trials=2, num_attempts=5, devices=("normal", "stiff"),
+    "C": dict(trials=2, devices=("normal", "stiff"),
               target_angle=math.pi / 2, store_policy="retain"),
 }
 

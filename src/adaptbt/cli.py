@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .bench import (
     BenchError,
     DEFAULT_DEVICES,
     DEFAULT_STRATEGIES,
+    EpisodeSettings,
     emit_results,
     make_config,
     run_episode,
@@ -27,12 +27,12 @@ from .bench import (
     summarize,
     trial_rng,
 )
-from .core import NodeStatus
+from .core import BehaviorTreeError, NodeStatus
 from .sim import DeviceInstance
 from .strategies import DataStore, StrategySpec, load as load_data_store, \
     persist as persist_data_store
-from .treedef import InstantiationError, parse_tree_definition, \
-    validate_subtree_seeds, validate_switch_coverage
+from .treedef import InstantiationError, TreeDocument, \
+    parse_tree_definition, validate_subtree_seeds, validate_switch_coverage
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -50,7 +50,20 @@ class ConfigError(Exception):
     """Unusable configuration file or values."""
 
 
+# Every config key with its JSON type; a float key reads any number as float.
+CONFIG_TYPES = {
+    "seed": int, "trial": int, "trials": int, "num_attempts": int,
+    "max_ticks": int, "dt": float, "margin": float, "target_angle": float,
+    "strategies": list, "devices": dict, "run_devices": list,
+    "device": str, "blackboard": dict,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list",
+               dict: "an object", str: "a string"}
+EPISODE_KEYS = tuple(f.name for f in dataclasses.fields(EpisodeSettings))
+
+
 def load_config(path: str | None) -> dict:
+    """The JSON object at `path`, each key known and of its CONFIG_TYPES type."""
     if path is None:
         return {}
     try:
@@ -62,14 +75,35 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    for key, value in data.items():
+        kind = CONFIG_TYPES.get(key)
+        if kind is None:
+            raise ConfigError(f"config {key} is not a known key")
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config {key} must be {_TYPE_NAMES[kind]}")
+        if kind is float:
+            try:
+                data[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"config {key} is out of range") from None
     return data
+
+
+def episode_settings(config: dict) -> EpisodeSettings:
+    """EpisodeSettings from the episode keys `config` sets, defaults elsewhere."""
+    try:
+        return EpisodeSettings(**{key: config[key] for key in EPISODE_KEYS
+                                  if key in config})
+    except BenchError as exc:
+        raise ConfigError(f"config {exc}") from None
 
 
 def strategies_from_config(config: dict) -> list[StrategySpec]:
     entries = config.get("strategies")
     if entries is None:
         return list(DEFAULT_STRATEGIES)
-    if not isinstance(entries, list) or not entries:
+    if not entries:
         raise ConfigError("config strategies must be a non-empty list")
     out = []
     for entry in entries:
@@ -84,10 +118,7 @@ def strategies_from_config(config: dict) -> list[StrategySpec]:
 
 def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
     devices = dict(DEFAULT_DEVICES)
-    entries = config.get("devices", {})
-    if not isinstance(entries, dict):
-        raise ConfigError("config devices must be an object keyed by id")
-    for device_id, fields in entries.items():
+    for device_id, fields in config.get("devices", {}).items():
         if not isinstance(fields, dict):
             raise ConfigError(f"device {device_id}: fields must be an object")
         merged = dict(fields)
@@ -103,26 +134,27 @@ def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
     return devices
 
 
-def _config_float(config: dict, key: str, fallback: float,
-                  allow_inf: bool = False) -> float:
-    """Read a number; NaN is always rejected, infinities unless `allow_inf`."""
-    value = config.get(key, fallback)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config {key} must be a number")
+def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
+    """Read, parse and statically check a tree file, printing every diagnostic;
+    the document, or None when the file is unreadable or has an error."""
     try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"config {key} is out of range") from None
-    if math.isnan(value) or (math.isinf(value) and not allow_inf):
-        raise ConfigError(f"config {key} must be a finite number, got {value}")
-    return value
-
-
-def _config_int(config: dict, key: str, fallback: int) -> int:
-    value = config.get(key, fallback)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"config {key} must be an integer")
-    return value
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    result = parse_tree_definition(text)
+    diagnostics = list(result.diagnostics)
+    if result.document is not None:
+        diagnostics.extend(validate_subtree_seeds(result.document))
+        if result.document.strategy_var:
+            diagnostics.extend(validate_switch_coverage(
+                result.document, {s.id for s in strategies}))
+    for diagnostic in diagnostics:
+        print(diagnostic)
+    if any(d.severity == "error" for d in diagnostics):
+        return None
+    return result.document
 
 
 # ---------------------------------------------------------------------------
@@ -134,30 +166,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     strategies = strategies_from_config(config)
     devices = devices_from_config(config)
 
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    elif "trials" in config:
-        overrides["trials"] = _config_int(config, "trials", 0)
-    if args.attempts is not None:
-        overrides["num_attempts"] = args.attempts
-    elif "num_attempts" in config:
-        overrides["num_attempts"] = _config_int(config, "num_attempts", 0)
-    if "target_angle" in config:
-        overrides["target_angle"] = _config_float(config, "target_angle", 0.0,
-                                                  allow_inf=True)
+    episode_settings(config)  # a bad episode value is named as a config key
+    overrides = {key: config[key] for key in (*EPISODE_KEYS, "trials")
+                 if key in config}
     if "run_devices" in config:
         run_devices = config["run_devices"]
-        if not isinstance(run_devices, list) or not run_devices or \
-                not all(isinstance(d, str) for d in run_devices):
+        if not run_devices or not all(isinstance(d, str) for d in run_devices):
             raise ConfigError("config run_devices must be a non-empty list of ids")
         overrides["devices"] = tuple(run_devices)
-    overrides["dt"] = _config_float(config, "dt", 0.1)
-    overrides["margin"] = _config_float(config, "margin", 0.0)
-    overrides["max_ticks"] = _config_int(config, "max_ticks", 200_000)
+    if args.trials is not None:
+        overrides["trials"] = args.trials
+    if args.attempts is not None:
+        overrides["num_attempts"] = args.attempts
 
-    seed = args.seed if args.seed is not None \
-        else _config_int(config, "seed", 0)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
     experiment_config = make_config(args.experiment, args.behavior, seed,
                                     **overrides)
     results, store = run_experiment(experiment_config, strategies, devices)
@@ -173,26 +195,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        with open(args.tree) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"cannot read {args.tree}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    config = load_config(args.config)
-    strategies = strategies_from_config(config)
-
-    result = parse_tree_definition(text)
-    diagnostics = list(result.diagnostics)
-    if result.document is not None:
-        diagnostics.extend(validate_subtree_seeds(result.document))
-        if result.document.strategy_var:
-            diagnostics.extend(validate_switch_coverage(
-                result.document, {s.id for s in strategies}))
-    for diagnostic in diagnostics:
-        print(diagnostic)
-    if any(d.severity == "error" for d in diagnostics):
+    strategies = strategies_from_config(load_config(args.config))
+    if load_tree(args.tree, strategies) is None:
         return EXIT_CONFIG_ERROR
     print(f"{args.tree}: ok")
     return EXIT_OK
@@ -202,21 +206,19 @@ def cmd_tick(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     strategies = strategies_from_config(config)
     devices = devices_from_config(config)
+    settings = episode_settings(config)
 
     device_id = config.get("device", "testA")
-    if not isinstance(device_id, str) or device_id not in devices:
+    if device_id not in devices:
         raise ConfigError(f"config device {device_id!r} is not a known device")
+    extra = config.get("blackboard", {})
+    for key, value in extra.items():
+        if not isinstance(value, (bool, int, float, str)):
+            raise ConfigError(f"config blackboard {key!r} must be a bool, "
+                              f"int, float or string")
 
-    try:
-        with open(args.tree) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"cannot read {args.tree}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    parsed = parse_tree_definition(text)
-    if not parsed.ok:
-        for diagnostic in parsed.errors():
-            print(diagnostic)
+    document = load_tree(args.tree, strategies)
+    if document is None:
         return EXIT_CONFIG_ERROR
 
     store = DataStore()
@@ -228,17 +230,6 @@ def cmd_tick(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"data store {args.data_store}: {exc}") from exc
 
-    seed = args.seed if args.seed is not None \
-        else _config_int(config, "seed", 0)
-    max_ticks = _config_int(config, "max_ticks", 200_000)
-    extra = config.get("blackboard", {})
-    if not isinstance(extra, dict):
-        raise ConfigError("config blackboard must be an object")
-    for key, value in extra.items():
-        if not isinstance(value, (bool, int, float, str)):
-            raise ConfigError(f"config blackboard {key!r} must be a bool, "
-                              f"int, float or string")
-
     def print_tick(tick, sim_time, status, trace):
         line = " ".join(f"{name}={STATUS_LETTERS[node_status]}"
                         for name, node_status in trace.entries)
@@ -246,21 +237,17 @@ def cmd_tick(args: argparse.Namespace) -> int:
         for message in trace.diagnostics:
             print(f"[{tick:5d}] diagnostic: {message}")
 
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
     try:
         result = run_episode(
             devices[device_id], strategies, store, trial_rng(seed, 0),
-            _config_int(config, "trial", 1),
-            _config_float(config, "target_angle", math.pi / 2, allow_inf=True),
-            _config_int(config, "num_attempts", 5),
-            dt=_config_float(config, "dt", 0.1),
-            margin=_config_float(config, "margin", 0.0),
-            max_ticks=max_ticks, document=parsed.document, seeds=extra,
-            on_tick=print_tick)
+            config.get("trial", 1), **dataclasses.asdict(settings),
+            document=document, seeds=extra, on_tick=print_tick)
     except InstantiationError as exc:
         print(f"cannot instantiate tree: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except BenchError:
-        print(f"stopped: no terminal status within {max_ticks} ticks",
+        print(f"stopped: no terminal status within {settings.max_ticks} ticks",
               file=sys.stderr)
         return EXIT_TASK_FAILURE
 
@@ -319,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, BenchError, ValueError) as exc:
+    except (ConfigError, BenchError, BehaviorTreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

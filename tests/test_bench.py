@@ -136,6 +136,7 @@ class TestConfig:
         ("dt", 0.0), ("dt", -0.1), ("dt", math.inf), ("dt", math.nan),
         ("margin", math.nan), ("margin", math.inf), ("margin", -math.inf),
         ("target_angle", math.nan), ("max_ticks", 0), ("devices", ()),
+        ("devices", ("stiff", "stiff")),
     ])
     def test_bad_numbers_rejected_naming_field(self, field, value):
         with pytest.raises(BenchError, match=field):

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, file outputs."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -143,11 +144,12 @@ class TestValidate:
         tree = tmp_path / "nan.xml"
         tree.write_text(text.replace(seed, 'current_torque="nan"', 1))
         assert main(["validate", "--tree", str(tree)]) == 2
-        assert capsys.readouterr().out.startswith(f"error:{line}:")
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(f"error:{line}:")
+        assert ":seed-value:" in stdout
         assert main(["tick", "--tree", str(tree), "--seed", "3"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(
-            f"cannot instantiate tree: line {line}: SubTree seed 'current_torque'")
+        assert captured.out == stdout
         assert "episode:" not in captured.out
 
     def test_exempt_reasons_binding_fails_validate_and_tick(self, tmp_path,
@@ -301,6 +303,35 @@ class TestTick:
         assert code == 2
         assert "episode exceeded 5 ticks" in capsys.readouterr().err
 
+    def test_uncovered_strategy_fails_before_first_tick(self, canonical_file,
+                                                        tmp_path, capsys):
+        specs = [dataclasses.asdict(s) for s in DEFAULT_STRATEGIES]
+        config = write_config(tmp_path, {
+            "strategies": specs + [{**specs[0], "id": "mid_torque"}]})
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--config", str(config)])
+        assert code == 2
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("error:")
+        assert ":switch-coverage:" in stdout
+        assert "mid_torque" in stdout
+        assert "episode:" not in stdout
+
+    def test_engine_error_exits_two(self, tmp_path, capsys):
+        tree = tmp_path / "zero.xml"
+        tree.write_text(
+            '<TreeDocument main_tree="Main">\n'
+            '  <Tree id="Main">\n'
+            '    <RetryUntilSuccessful num_attempts="0">\n'
+            '      <AlwaysFailure/>\n'
+            '    </RetryUntilSuccessful>\n'
+            '  </Tree>\n'
+            '</TreeDocument>\n')
+        assert main(["tick", "--tree", str(tree)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "num_attempts" in err
+
     @pytest.mark.parametrize("payload,key", [
         ({"device": ["stiff"]}, "device"),
         ({"blackboard": {"x": [1]}}, "'x'"),
@@ -341,6 +372,27 @@ class TestConfigValues:
         code = main(argv + ["--config", str(config)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: config {key} ")
+
+    @pytest.mark.parametrize("command", ["run", "tick"])
+    @pytest.mark.parametrize("payload,key", [
+        ({"num_attempts": 0}, "num_attempts"),
+        ({"max_ticks": 0}, "max_ticks"),
+        ({"dt": 0}, "dt"),
+        ({"dt": -0.1}, "dt"),
+        ({"trails": 3}, "trails"),
+    ])
+    def test_rejected_by_run_and_tick_alike(self, canonical_file, tmp_path,
+                                            capsys, command, payload, key):
+        config = write_config(tmp_path, payload)
+        if command == "run":
+            argv = ["run", "--experiment", "A", "--behavior", "low"]
+        else:
+            argv = ["tick", "--tree", str(canonical_file)]
+        code = main(argv + ["--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config {key} ")
+        assert captured.out == ""
 
     def test_infinite_target_angle_accepted(self, tmp_path, capsys):
         config = write_config(tmp_path, {"target_angle": math.inf})
