@@ -79,6 +79,9 @@ DEFAULT_DEVICES = {
 
 BEHAVIORS = ("low", "high", "adaptive")
 EXPERIMENTS = ("A", "B", "C")
+# the blackboard keys run_episode writes before its extra `seeds`
+RUNNER_KEYS = ("num_attempts", "target_angle", "tightened_threshold",
+               "twist_progress")
 
 RESULT_FIELDS = ("trial", "success", "attempts", "sim_time", "strategies",
                  "reasons")
@@ -371,10 +374,10 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
                 | None = None) -> EpisodeResult:
     """One full seeded episode of `document` (default: the canonical tree).
 
-    `seeds` are extra blackboard entries written after the four standard
-    keys. `on_tick(tick, sim_time, status, trace)` is called after every
-    root tick and before the world clock advances, so `sim_time` is the
-    time the tick ran at. Raises BenchError after `max_ticks` ticks.
+    `seeds` are extra blackboard entries written after the RUNNER_KEYS.
+    `on_tick(tick, sim_time, status, trace)` is called after every root tick
+    and before the world clock advances, so `sim_time` is the time the tick
+    ran at. Raises BenchError after `max_ticks` ticks.
     """
     world = World(device, dt=dt, rng=rng)
     if probe is None:

@@ -20,6 +20,7 @@ from .bench import (
     DEFAULT_DEVICES,
     DEFAULT_STRATEGIES,
     EpisodeSettings,
+    RUNNER_KEYS,
     emit_results,
     make_config,
     run_episode,
@@ -211,8 +212,14 @@ def cmd_tick(args: argparse.Namespace) -> int:
     device_id = config.get("device", "testA")
     if device_id not in devices:
         raise ConfigError(f"config device {device_id!r} is not a known device")
+    trial = config.get("trial", 1)
+    if trial < 1:
+        raise ConfigError(f"config trial must be >= 1, got {trial}")
     extra = config.get("blackboard", {})
     for key, value in extra.items():
+        if key in RUNNER_KEYS:
+            raise ConfigError(f"config blackboard {key!r} is set by the "
+                              f"episode runner, not the blackboard object")
         if not isinstance(value, (bool, int, float, str)):
             raise ConfigError(f"config blackboard {key!r} must be a bool, "
                               f"int, float or string")
@@ -241,7 +248,7 @@ def cmd_tick(args: argparse.Namespace) -> int:
     try:
         result = run_episode(
             devices[device_id], strategies, store, trial_rng(seed, 0),
-            config.get("trial", 1), **dataclasses.asdict(settings),
+            trial, **dataclasses.asdict(settings),
             document=document, seeds=extra, on_tick=print_tick)
     except InstantiationError as exc:
         print(f"cannot instantiate tree: {exc}", file=sys.stderr)

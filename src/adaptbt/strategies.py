@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -139,6 +141,9 @@ class DataStore:
         self.records: list[FTRecord] = []
         self._index: dict[str, float] = {}
         self._keys: set[tuple] = set()
+        # (path, records on file, _file_state) of the file `load` read, when
+        # new records can be appended to it
+        self._file: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -170,12 +175,30 @@ class DataStore:
         return sorted(self._index)
 
 
+def _file_state(st: os.stat_result) -> tuple:
+    """What must not change between reading a store file and appending to it."""
+    return st.st_size, st.st_mtime_ns, st.st_ino, st.st_dev
+
+
 def persist(store: DataStore, path) -> None:
-    """Write the store as CSV; the writer formats floats with repr."""
-    with open(path, "w", newline="") as handle:
+    """Write the store as CSV; the writer formats floats with repr.
+
+    When `path` is the file the store was loaded from and its size, mtime and
+    inode are unchanged since, only the records added since are appended.
+    Otherwise the file is rewritten whole.
+    """
+    start = None  # records already on file; None rewrites with the header
+    if store._file is not None and store._file[0] == os.fspath(path):
+        try:
+            if _file_state(os.stat(path)) == store._file[2]:
+                start = store._file[1]
+        except FileNotFoundError:
+            pass
+    with open(path, "w" if start is None else "a", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(STORE_FIELDS)
-        writer.writerows(store.records)
+        if start is None:
+            writer.writerow(STORE_FIELDS)
+        writer.writerows(store.records[start:])
 
 
 def load(path) -> DataStore:
@@ -184,7 +207,7 @@ def load(path) -> DataStore:
     add = store.add
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
+        header = row = next(reader, None)
         if header != list(STORE_FIELDS):
             raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
         for lineno, row in enumerate(reader, start=2):
@@ -199,6 +222,13 @@ def load(path) -> DataStore:
                              float(sim_time), float(torque), float(force)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
+        # rows can be appended only after a newline that closes the last row;
+        # a quoted field left open at the end of the file swallows that newline
+        st = os.fstat(handle.fileno())
+        if stat.S_ISREG(st.st_mode) and not (row and row[-1].endswith("\n")):
+            handle.buffer.seek(-1, os.SEEK_END)
+            if handle.buffer.read(1) == b"\n":
+                store._file = (os.fspath(path), len(store.records), _file_state(st))
     return store
 
 

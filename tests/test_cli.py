@@ -16,7 +16,7 @@ from adaptbt.cli import (
     main,
     strategies_from_config,
 )
-from adaptbt.strategies import DataStore
+from adaptbt.strategies import DataStore, persist
 
 ALL_IDS = [s.id for s in DEFAULT_STRATEGIES]
 
@@ -234,6 +234,55 @@ class TestTick:
         first_selection = next(line for line in stdout.splitlines()
                                if "SelectStrategy=S" in line)
         assert "high_torque_run" in first_selection
+
+    def test_chained_calls_leave_one_persist_of_the_store(self, canonical_file,
+                                                          tmp_path, capsys):
+        path = tmp_path / "store.csv"
+        document = build_canonical_tree(ALL_IDS)
+        reference = DataStore()
+        for trial in range(1, 9):
+            device = "stiff" if trial % 2 else "normal"
+            config = write_config(tmp_path, {"device": device, "trial": trial})
+            code = main(["tick", "--tree", str(canonical_file), "--config",
+                         str(config), "--data-store", str(path),
+                         "--seed", str(10 + trial)])
+            assert code in (0, 1)
+            result = run_episode(DEFAULT_DEVICES[device],
+                                 list(DEFAULT_STRATEGIES), reference,
+                                 trial_rng(10 + trial, 0), trial, math.pi / 2,
+                                 5, document=document)
+            assert code == (0 if result.success else 1)
+        capsys.readouterr()
+        fresh = tmp_path / "fresh.csv"
+        persist(reference, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("trial", [-3, 0])
+    def test_trial_below_one_exits_two(self, canonical_file, tmp_path, capsys,
+                                       trial):
+        config = write_config(tmp_path, {"trial": trial, "device": "normal"})
+        store = tmp_path / "store.csv"
+        code = main(["tick", "--tree", str(canonical_file), "--config",
+                     str(config), "--data-store", str(store)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config trial must be >= 1, got {trial}\n"
+        assert captured.out == ""
+        assert not store.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_attempts", 0), ("target_angle", math.nan),
+        ("tightened_threshold", 1.0), ("twist_progress", 0.5)])
+    def test_runner_key_in_blackboard_exits_two(self, canonical_file, tmp_path,
+                                                capsys, key, value):
+        config = write_config(tmp_path, {"blackboard": {key: value},
+                                         "device": "normal"})
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config blackboard {key!r} ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("seed,device", [(3, "normal"), (5, "stiff")])
     def test_matches_run_episode(self, canonical_file, tmp_path, capsys,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 
 import pytest
@@ -387,6 +388,107 @@ class TestDataStore:
         assert record._replace(force=1.5) == FTRecord("v", 1, 2, 0.5, 0.3, 1.5)
         with pytest.raises(ValueError, match="force must be finite"):
             record._replace(force=math.nan)
+
+
+HEADER = "device_id,trial,attempt,sim_time,torque,force\n"
+# a hand-written store: a blank row and ints spelled where persist writes floats
+HAND_WRITTEN = HEADER + "v,1,1,1,0.3,0\n\nv,1,2,2.5,1,-0.5\n"
+
+
+def fresh_bytes(store, tmp_path):
+    """The bytes one persist of `store` to a new file writes."""
+    path = tmp_path / "fresh.csv"
+    persist(store, path)
+    return path.read_bytes()
+
+
+class TestStoreAppend:
+    """persist appends to the file the store was loaded from, if unchanged."""
+
+    def hand_written(self, tmp_path, text=HAND_WRITTEN):
+        path = tmp_path / "store.csv"
+        path.write_bytes(text.encode())
+        store = load(path)
+        store.record("v", 2, 1, 0.1 + 0.2, 0.75)
+        store.record("a,b", 2, 1, 4.0, 2)
+        return path, store
+
+    def test_append_keeps_loaded_bytes(self, tmp_path):
+        path, store = self.hand_written(tmp_path)
+        persist(store, path)
+        assert path.read_bytes() == (HAND_WRITTEN.encode()
+                                     + b"v,2,1,0.30000000000000004,0.75,0.0\n"
+                                     + b'"a,b",2,1,4.0,2.0,0.0\n')
+        assert load(path).records == store.records
+
+    def test_header_only_file_gets_no_second_header(self, tmp_path):
+        path, store = self.hand_written(tmp_path, HEADER)
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
+
+    @pytest.mark.parametrize("text", [
+        HAND_WRITTEN.rstrip("\n"),
+        # the last field's quote is never closed, so it holds the final newline
+        HAND_WRITTEN.replace(",-0.5", ',"-0.5'),
+    ], ids=["no_trailing_newline", "open_quote_at_end"])
+    def test_incomplete_last_row_is_rewritten(self, tmp_path, text):
+        path, store = self.hand_written(tmp_path, text)
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
+        assert load(path).records == store.records
+
+    def test_grown_file_is_rewritten(self, tmp_path):
+        path, store = self.hand_written(tmp_path)
+        with open(path, "a") as handle:
+            handle.write("\n")
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
+
+    def test_touched_file_is_rewritten(self, tmp_path):
+        path, store = self.hand_written(tmp_path)
+        st = path.stat()
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000))
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
+
+    def test_replaced_file_is_rewritten(self, tmp_path):
+        # same size and mtime, but another file: an append would keep 0.4
+        path, store = self.hand_written(tmp_path)
+        st = path.stat()
+        other = tmp_path / "other.csv"
+        other.write_bytes(HAND_WRITTEN.replace("0.3", "0.4").encode())
+        os.utime(other, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(other, path)
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
+
+    def test_other_path_is_rewritten(self, tmp_path):
+        path, store = self.hand_written(tmp_path)
+        other = tmp_path / "other.csv"
+        other.write_bytes(HAND_WRITTEN.encode())
+        persist(store, other)
+        assert other.read_bytes() == fresh_bytes(store, tmp_path)
+        assert path.read_bytes() == HAND_WRITTEN.encode()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_store_loads_from_a_pipe(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.write(write_end, HAND_WRITTEN.encode())
+        os.close(write_end)
+        try:
+            store = load(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        path = tmp_path / "store.csv"
+        path.write_bytes(HAND_WRITTEN.encode())
+        assert store.records == load(path).records
+
+    def test_store_never_loaded_is_rewritten(self, tmp_path):
+        path, _ = self.hand_written(tmp_path)
+        store = DataStore()
+        store.record("v", 1, 1, 1.0, 0.3)
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
 
 
 def tick_leaf(factory, ports, bb):

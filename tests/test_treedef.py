@@ -288,6 +288,34 @@ class TestRoundTrip:
         assert structurally_equal(first, second)
         assert serialize(second) == text
 
+    def test_serialize_golden_bytes(self):
+        # quoteattr escapes &, <, > and newlines, and quotes a value that
+        # holds " but no ' with single quotes
+        document = parse_ok(doc(
+            '<Leaf id="Say">'
+            '<Port name="text" direction="in" type="str"/>'
+            '<Port name="alt" direction="in" type="str"/>'
+            '</Leaf>'
+            '<Tree id="Main"><Sequence name="a&amp;b &lt;c&gt;">'
+            '<Say text="he said &quot;hi&quot;"'
+            ' alt="it&apos;s &quot;both&quot;&#10;two lines"/>'
+            '<Say text="it&apos;s" alt="&amp;&lt;&#10;"/>'
+            '</Sequence></Tree>'))
+        assert serialize(document).encode() == (
+            b'<TreeDocument main_tree="Main">\n'
+            b'  <Leaf id="Say">\n'
+            b'    <Port name="text" direction="in" type="str"/>\n'
+            b'    <Port name="alt" direction="in" type="str"/>\n'
+            b'  </Leaf>\n'
+            b'  <Tree id="Main">\n'
+            b'    <Sequence name="a&amp;b &lt;c&gt;">\n'
+            b'      <Say text=\'he said "hi"\''
+            b' alt="it\'s &quot;both&quot;&#10;two lines"/>\n'
+            b'      <Say text="it\'s" alt="&amp;&lt;&#10;"/>\n'
+            b'    </Sequence>\n'
+            b'  </Tree>\n'
+            b'</TreeDocument>\n')
+
     def test_structural_inequality_detected(self):
         a = parse_ok(doc('<Tree id="Main"><AlwaysSuccess/></Tree>'))
         b = parse_ok(doc('<Tree id="Main"><AlwaysFailure/></Tree>'))
