@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Callable
+from xml.sax.saxutils import quoteattr
 
 from .core import (
     Blackboard,
@@ -33,14 +34,14 @@ from .core import (
 from .sim import DeviceInstance, LookupPose, ManipulateTarget, MotionSegment, \
     World
 from .strategies import (
+    AngleWithinLimits,
+    CheckStrategyViable,
     DataStore,
     EXEMPT_REASONS,
+    FTWithinLimits,
+    IsTightened,
+    SelectStrategy,
     StrategySpec,
-    angle_within_limits_leaf,
-    ft_within_limits_leaf,
-    is_tightened_leaf,
-    select_strategy_leaf,
-    strategy_viable_leaf,
 )
 from .treedef import (
     LeafRegistry,
@@ -266,9 +267,9 @@ def canonical_tree_text(strategy_ids: list[str]) -> str:
     cases = []
     for sid in strategy_ids:
         cases.append(
-            f'          <Case value="{sid}">\n'
-            f'            <SubTree id="StrategyRun" name="{sid}_run" '
-            f'strategy="{sid}" target_angle="{{target_angle}}" '
+            f'          <Case value={quoteattr(sid)}>\n'
+            f'            <SubTree id="StrategyRun" name={quoteattr(sid + "_run")} '
+            f'strategy={quoteattr(sid)} target_angle="{{target_angle}}" '
             f'tightened_threshold="{{tightened_threshold}}" '
             f'twist_progress="{{twist_progress}}" '
             f'last_failure_reason="{{last_failure_reason}}" '
@@ -320,7 +321,7 @@ def build_canonical_tree(strategy_ids: list[str]) -> TreeDocument:
 
 
 class EpisodeProbe:
-    """Observes strategy selections; numbers attempt executions for records."""
+    """The episode leaves' report channel: selections and the attempt number."""
 
     def __init__(self):
         self.attempt = 0
@@ -345,12 +346,15 @@ def episode_leaf_registry(world: World, store: DataStore,
                           trial: int, margin: float = 0.0) -> LeafRegistry:
     by_id = {s.id: s for s in strategies}
     registry = LeafRegistry()
-    registry.register("SelectStrategy", select_strategy_leaf(
-        store, world.device.id, strategies, margin, observer=probe.on_select))
-    registry.register("CheckStrategyViable", strategy_viable_leaf())
-    registry.register("IsTightened", is_tightened_leaf())
-    registry.register("AngleWithinLimits", angle_within_limits_leaf(by_id))
-    registry.register("FTWithinLimits", ft_within_limits_leaf(by_id))
+    registry.register("SelectStrategy", functools.partial(
+        SelectStrategy, store=store, device_id=world.device.id,
+        registry=strategies, probe=probe, margin=margin))
+    registry.register("CheckStrategyViable", CheckStrategyViable)
+    registry.register("IsTightened", IsTightened)
+    registry.register("AngleWithinLimits", functools.partial(
+        AngleWithinLimits, registry=by_id))
+    registry.register("FTWithinLimits", functools.partial(
+        FTWithinLimits, registry=by_id))
     registry.register("LookupPose", functools.partial(
         LookupPose, world=world, registry=by_id))
     for kind, leaf_id in (("approach", "Approach"), ("grasp", "Grasp"),
@@ -359,7 +363,7 @@ def episode_leaf_registry(world: World, store: DataStore,
             MotionSegment, world=world, registry=by_id, segment_kind=kind))
     registry.register("ManipulateTarget", functools.partial(
         ManipulateTarget, world=world, registry=by_id, store=store,
-        trial=trial, attempt_source=lambda: probe.attempt))
+        probe=probe, trial=trial))
     return registry
 
 

@@ -33,7 +33,7 @@ from .sim import DeviceInstance
 from .strategies import DataStore, StrategySpec, load as load_data_store, \
     persist as persist_data_store
 from .treedef import InstantiationError, TreeDocument, \
-    parse_tree_definition, validate_subtree_seeds, validate_switch_coverage
+    parse_tree_definition, validate_switch_coverage
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -147,10 +147,8 @@ def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
     result = parse_tree_definition(text)
     diagnostics = list(result.diagnostics)
     if result.document is not None:
-        diagnostics.extend(validate_subtree_seeds(result.document))
-        if result.document.strategy_var:
-            diagnostics.extend(validate_switch_coverage(
-                result.document, {s.id for s in strategies}))
+        diagnostics.extend(validate_switch_coverage(
+            result.document, {s.id for s in strategies}))
     for diagnostic in diagnostics:
         print(diagnostic)
     if any(d.severity == "error" for d in diagnostics):

@@ -146,7 +146,7 @@ class TickTrace:
 
 
 class TreeNode:
-    """Base node. Subclasses implement _tick and optionally _on_halt/_reset.
+    """Base node. Subclasses implement _tick and optionally on_halted/_reset.
 
     Halting is depth-first: children are halted before the node itself, the
     on-halt hook fires exactly once and only for nodes that were Running,
@@ -220,7 +220,7 @@ class TreeNode:
         for child in self.children:
             child.halt()
         if self.status is _RUNNING:
-            self._on_halt()
+            self.on_halted()
         self._reset()
         self.status = _IDLE
 
@@ -229,8 +229,8 @@ class TreeNode:
     def _tick(self, trace: TickTrace) -> NodeStatus:
         raise NotImplementedError
 
-    def _on_halt(self) -> None:
-        pass
+    def on_halted(self) -> None:
+        """Called once when the node is halted while Running."""
 
     def _reset(self) -> None:
         pass
@@ -446,11 +446,11 @@ class SubTreeScope(TreeNode):
 
 
 class Condition(TreeNode):
-    """Leaf evaluating a boolean predicate over the blackboard each tick."""
+    """Leaf that succeeds while check() holds; it is evaluated every tick."""
 
     def __init__(self, name: str | None = None,
-                 predicate: Callable[["Condition"], bool] | None = None,
-                 ports: dict[str, object] | None = None):
+                 ports: dict[str, object] | None = None,
+                 predicate: Callable[["Condition"], bool] | None = None):
         super().__init__(name, None, ports)
         self._predicate = predicate
 
@@ -467,7 +467,7 @@ class StatefulAction(TreeNode):
     """Asynchronous leaf action.
 
     The first tick of an execution calls on_start, later ticks while Running
-    call on_running, and interruption calls on_halted exactly once. Callbacks
+    call on_running, and interruption calls on_halted exactly once. Hooks
     must return promptly; long work is spread across ticks by returning
     Running.
     """
@@ -475,12 +475,10 @@ class StatefulAction(TreeNode):
     def __init__(self, name: str | None = None,
                  ports: dict[str, object] | None = None,
                  on_start: Callable[["StatefulAction"], NodeStatus] | None = None,
-                 on_running: Callable[["StatefulAction"], NodeStatus] | None = None,
-                 on_halted: Callable[["StatefulAction"], None] | None = None):
+                 on_running: Callable[["StatefulAction"], NodeStatus] | None = None):
         super().__init__(name, None, ports)
         self._start_cb = on_start
         self._running_cb = on_running
-        self._halted_cb = on_halted
 
     def on_start(self) -> NodeStatus:
         if self._start_cb is None:
@@ -493,19 +491,12 @@ class StatefulAction(TreeNode):
                 f"{self.name} returned Running but defines no on_running")
         return self._running_cb(self)
 
-    def on_halted(self) -> None:
-        if self._halted_cb is not None:
-            self._halted_cb(self)
-
     def _tick(self, trace: TickTrace) -> NodeStatus:
         # execute_tick stores every visit's status and halt resets it to
         # Idle, so Running here means this execution has already started
         if self.status is _RUNNING:
             return self.on_running()
         return self.on_start()
-
-    def _on_halt(self) -> None:
-        self.on_halted()
 
 
 class AlwaysSuccess(TreeNode):

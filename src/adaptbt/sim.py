@@ -240,18 +240,18 @@ class ManipulateTarget(StatefulAction):
 
     Progress survives interruptions through its blackboard port, so a
     re-grasped or re-attempted episode resumes where it stopped. Every step
-    leaves one torque record in the data store.
+    leaves one torque record in the data store under `probe.attempt`.
     """
 
     def __init__(self, name, ports, world: World,
                  registry: dict[str, StrategySpec], store: DataStore,
-                 trial: int = 1, attempt_source=None):
+                 probe, trial: int = 1):
         super().__init__(name, ports)
         self.world = world
         self.registry = registry
         self.store = store
+        self.probe = probe
         self.trial = trial
-        self.attempt_source = attempt_source or (lambda: 1)
         self._fail_at = None
 
     def on_start(self) -> NodeStatus:
@@ -281,7 +281,7 @@ class ManipulateTarget(StatefulAction):
                 return FAILURE
         world = self.world
         delta, torque = world.step_twist(spec.twist_rate)
-        self.store.record(world.device.id, self.trial, self.attempt_source(),
+        self.store.record(world.device.id, self.trial, self.probe.attempt,
                           world.sim_time, torque)
         progress = self.input("progress") + delta
         self.output("progress", progress)

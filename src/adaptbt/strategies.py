@@ -10,6 +10,7 @@ recorded for the specific device instance; devices never share data.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import stat
@@ -23,6 +24,7 @@ from .core import (
     NodeStatus,
     StatefulAction,
 )
+from .treedef import infer_literal, parse_binding
 
 # Failure reasons. The first two are exempt from retry accounting: they are
 # deliberate interruptions, not task failures.
@@ -31,9 +33,10 @@ STRATEGY_SWITCH = "strategy_switch"
 GENUINE = "genuine"
 EXEMPT_REASONS = (REGRASP, STRATEGY_SWITCH)
 
-# module globals: per record, a global load is cheaper than an attribute load
+# module globals: on the hot path a global load is cheaper than an attribute load
 _INF = math.inf
 _tuple_new = tuple.__new__
+_SUCCESS = NodeStatus.SUCCESS
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,19 @@ class StrategySpec:
     p_segment_failure: float
 
     def __post_init__(self):
+        # an id travels through tree documents as a case value and a seed
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"strategy id must be a non-empty string, got {self.id!r}")
+        if self.id == NO_STRATEGIES:
+            raise ValueError(f"strategy id {self.id!r} is reserved for the "
+                             f"no-strategy sentinel")
+        try:
+            as_text = parse_binding(self.id) is None and infer_literal(self.id) == self.id
+        except ValueError:
+            as_text = False
+        if not as_text:
+            raise ValueError(f"strategy id {self.id!r} must read as text: no braces, "
+                             f"no number or bool spelling")
         for label in ("ft_limit", "angle_min", "angle_max", "twist_rate",
                       "t_approach", "t_grasp", "t_retract", "p_segment_failure"):
             if not -math.inf < getattr(self, label) < math.inf:
@@ -205,30 +221,43 @@ def load(path) -> DataStore:
     """Read a persisted store; every rejected row is named by its line."""
     store = DataStore()
     add = store.add
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = row = next(reader, None)
-        if header != list(STORE_FIELDS):
-            raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(STORE_FIELDS):
-                raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} fields, "
-                                 f"got {len(row)}")
-            device_id, trial, attempt, sim_time, torque, force = row
-            try:
-                add(FTRecord(device_id, int(trial), int(attempt),
-                             float(sim_time), float(torque), float(force)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        # rows can be appended only after a newline that closes the last row;
-        # a quoted field left open at the end of the file swallows that newline
+    with open(path, "rb") as handle:
+        data = handle.read()
         st = os.fstat(handle.fileno())
-        if stat.S_ISREG(st.st_mode) and not (row and row[-1].endswith("\n")):
-            handle.buffer.seek(-1, os.SEEK_END)
-            if handle.buffer.read(1) == b"\n":
-                store._file = (os.fspath(path), len(store.records), _file_state(st))
+    # int and float also read "1_0" and " 2.5\n", which persist never writes.
+    # Such a number needs '_', a space, tab, \v or \f, a non-ASCII byte or a
+    # quote around a line break in the rows; only then is each row checked.
+    start = data.find(b"\n")  # the rows start after the header, which holds '_'
+    strict = not data.isascii() or any(data.find(c, start) >= 0 for c in b'_" \t\x0b\x0c')
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
+    header = row = next(reader, None)
+    if header != list(STORE_FIELDS):
+        raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(STORE_FIELDS):
+            raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} fields, "
+                             f"got {len(row)}")
+        device_id, trial, attempt, sim_time, torque, force = row
+        if strict:
+            numbers = f"{trial}{attempt}{sim_time}{torque}{force}"
+            # except the newline a quote left open at the end of the file
+            # swallows: that row still loads, and persist rewrites the file
+            if force.endswith("\n") and next(reader, None) is None:
+                numbers = numbers[:-1]
+            if "_" in numbers or " " in numbers or not numbers.isprintable():
+                raise ValueError(f"line {lineno}: a number field holds '_' or whitespace")
+        try:
+            add(FTRecord(device_id, int(trial), int(attempt),
+                         float(sim_time), float(torque), float(force)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    # rows can be appended only after a newline that closes the last row;
+    # a quoted field left open at the end of the file swallows that newline
+    if stat.S_ISREG(st.st_mode) and data.endswith(b"\n") \
+            and not (row and row[-1].endswith("\n")):
+        store._file = (os.fspath(path), len(store.records), _file_state(st))
     return store
 
 
@@ -283,73 +312,74 @@ def remap_handle_angle(measured: float, symmetry_order: int,
 # decision leaves
 
 
-def select_strategy_leaf(store: DataStore, device_id: str,
-                         registry: list[StrategySpec], margin: float = 0.0,
-                         observer=None):
-    """Factory for the selection leaf. Always succeeds; writes the chosen id.
+class SelectStrategy(StatefulAction):
+    """Writes the chosen strategy id, reports it to `probe.on_select`, succeeds."""
 
-    `observer`, when given, is called with (strategy_id, max_torque) on each
-    selection; harnesses use it for attempt counting and phase tracking.
-    """
-    def factory(name, ports):
-        def on_start(node):
-            chosen = select_strategy(store, device_id, registry, margin)
-            node.output("strategy_id", chosen)
-            if observer is not None:
-                observer(chosen, store.max_torque(device_id))
-            return NodeStatus.SUCCESS
-        return StatefulAction(name, ports, on_start=on_start)
-    return factory
+    def __init__(self, name, ports, store: DataStore, device_id: str,
+                 registry: list[StrategySpec], probe, margin: float = 0.0):
+        super().__init__(name, ports)
+        self.store = store
+        self.device_id = device_id
+        self.registry = registry
+        self.probe = probe
+        self.margin = margin
 
-
-def strategy_viable_leaf():
-    """Factory for the final viability check: fails on the sentinel id."""
-    def factory(name, ports):
-        return Condition(
-            name, ports=ports,
-            predicate=lambda node: node.input("strategy_id") != NO_STRATEGIES)
-    return factory
+    def on_start(self) -> NodeStatus:
+        chosen = select_strategy(self.store, self.device_id, self.registry,
+                                 self.margin)
+        self.output("strategy_id", chosen)
+        self.probe.on_select(chosen, self.store.max_torque(self.device_id))
+        return _SUCCESS
 
 
-def is_tightened_leaf():
+class CheckStrategyViable(Condition):
+    """The final viability check: fails on the sentinel id."""
+
+    def check(self) -> bool:
+        return self.input("strategy_id") != NO_STRATEGIES
+
+
+class IsTightened(Condition):
     """Success once the measured torque reaches the tightened threshold."""
-    def factory(name, ports):
-        return Condition(
-            name, ports=ports,
-            predicate=lambda node: node.input("torque") >= node.input("threshold"))
-    return factory
+
+    def check(self) -> bool:
+        return self.input("torque") >= self.input("threshold")
 
 
-def angle_within_limits_leaf(registry: dict[str, StrategySpec]):
+class AngleWithinLimits(Condition):
     """Success while the handle estimate stays inside the strategy window.
 
     Leaving the window is a deliberate interruption: the leaf records the
     re-grasp reason so the retry decorator does not charge an attempt.
     """
-    def factory(name, ports):
-        def predicate(node):
-            spec = registry[node.input("strategy")]
-            angle = node.input("angle")
-            if spec.angle_min <= angle <= spec.angle_max:
-                return True
-            node.bb.set(LAST_FAILURE_REASON, REGRASP)
-            return False
-        return Condition(name, ports=ports, predicate=predicate)
-    return factory
+
+    def __init__(self, name, ports, registry: dict[str, StrategySpec]):
+        super().__init__(name, ports)
+        self.registry = registry
+
+    def check(self) -> bool:
+        spec = self.registry[self.input("strategy")]
+        angle = self.input("angle")
+        if spec.angle_min <= angle <= spec.angle_max:
+            return True
+        self.bb.set(LAST_FAILURE_REASON, REGRASP)
+        return False
 
 
-def ft_within_limits_leaf(registry: dict[str, StrategySpec]):
+class FTWithinLimits(Condition):
     """Success while measured torque stays within the strategy allowance.
 
     Exceeding it preempts the attempt with the strategy-switch reason so a
     stronger strategy can be selected without charging an attempt.
     """
-    def factory(name, ports):
-        def predicate(node):
-            spec = registry[node.input("strategy")]
-            if node.input("torque") <= spec.ft_limit:
-                return True
-            node.bb.set(LAST_FAILURE_REASON, STRATEGY_SWITCH)
-            return False
-        return Condition(name, ports=ports, predicate=predicate)
-    return factory
+
+    def __init__(self, name, ports, registry: dict[str, StrategySpec]):
+        super().__init__(name, ports)
+        self.registry = registry
+
+    def check(self) -> bool:
+        spec = self.registry[self.input("strategy")]
+        if self.input("torque") <= spec.ft_limit:
+            return True
+        self.bb.set(LAST_FAILURE_REASON, STRATEGY_SWITCH)
+        return False

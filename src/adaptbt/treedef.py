@@ -87,8 +87,8 @@ class RawElement:
     tag: str
     attrs: dict[str, str]
     children: list["RawElement"] = field(default_factory=list)
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -343,10 +343,13 @@ class _Analyzer:
             for attr, value in el.attrs.items():
                 if attr in ("id", "name"):
                     continue
+                rule = "binding-syntax"
                 try:
-                    parse_binding(value)
+                    if parse_binding(value) is None:
+                        rule = "seed-value"
+                        infer_literal(value)
                 except ValueError as exc:
-                    self.error(el, "binding-syntax", f"{attr}: {exc}")
+                    self.error(el, rule, f"{attr}: {exc}")
             if el.children:
                 self.error(el, "leaf-arity", "SubTree takes no children")
         elif tag in BUILTIN_LEAF_KINDS:
@@ -522,24 +525,6 @@ def validate_switch_coverage(doc: TreeDocument,
     return out
 
 
-def validate_subtree_seeds(doc: TreeDocument) -> list[Diagnostic]:
-    """Check SubTree seed constants: a numeric seed must be finite."""
-    out: list[Diagnostic] = []
-    for node in doc.trees.values():
-        for el in _walk(node):
-            if el.tag != "SubTree":
-                continue
-            for attr, value in el.attrs.items():
-                if attr in ("id", "name") or parse_binding(value) is not None:
-                    continue
-                try:
-                    infer_literal(value)
-                except ValueError as exc:
-                    out.append(Diagnostic(ERROR, el.line, el.col, "seed-value",
-                                          f"{attr}: {exc}"))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -584,17 +569,8 @@ def _serialize_node(el: RawElement, lines: list[str], depth: int) -> None:
 
 
 def structurally_equal(a: TreeDocument, b: TreeDocument) -> bool:
-    return (a.main_tree_id == b.main_tree_id
-            and a.strategy_var == b.strategy_var
-            and a.declared_leaves == b.declared_leaves
-            and set(a.trees) == set(b.trees)
-            and all(_nodes_equal(a.trees[t], b.trees[t]) for t in a.trees))
-
-
-def _nodes_equal(a: RawElement, b: RawElement) -> bool:
-    return (a.tag == b.tag and a.attrs == b.attrs
-            and len(a.children) == len(b.children)
-            and all(_nodes_equal(x, y) for x, y in zip(a.children, b.children)))
+    """Equal apart from source locations."""
+    return a == b
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from adaptbt.bench import (
     summarize,
     trial_rng,
 )
-from adaptbt.core import Blackboard, NO_STRATEGIES, iter_nodes, tick_root
+from adaptbt.core import Blackboard, Condition, NO_STRATEGIES, \
+    StatefulAction, iter_nodes, tick_root
 from adaptbt.sim import World
 from adaptbt.strategies import DataStore, EXEMPT_REASONS, GENUINE
 from adaptbt.treedef import instantiate, parse_tree_definition, \
@@ -57,6 +58,16 @@ class TestCanonicalTree:
         assert text.count("<Case ") == len(ALL_IDS) + 1
         assert f'value="{NO_STRATEGIES}"' in text
 
+    def test_ids_with_markup_characters_round_trip(self):
+        ids = ["a&b", "x&amp;y", "<q>", 'say "hi"', "it's \"both\""]
+        doc = build_canonical_tree(ids)
+        attempt = doc.trees["Main"].children[0].children[0]
+        [switch] = [el for el in attempt.children if el.tag == "SwitchStatement"]
+        assert [case.attrs["value"] for case in switch.children] == \
+            ids + [NO_STRATEGIES]
+        assert [case.children[0].attrs["strategy"]
+                for case in switch.children[:-1]] == ids
+
     def test_round_trip_survives_reserialization(self):
         from adaptbt.treedef import serialize, structurally_equal
         doc = build_canonical_tree(ALL_IDS)
@@ -80,6 +91,14 @@ class TestCanonicalTree:
         for _ in range(3):
             _, trace = tick_root(tree, bb)
             assert trace.diagnostics == []
+
+    def test_episode_leaves_are_subclasses(self):
+        world = World(DEFAULT_DEVICES["testA"], rng=random.Random(0))
+        registry = episode_leaf_registry(world, DataStore(), DEFAULT_STRATEGIES,
+                                         EpisodeProbe(), trial=1)
+        tree = instantiate(build_canonical_tree(ALL_IDS), registry, Blackboard())
+        kinds = {type(node) for node in iter_nodes(tree)}
+        assert not kinds & {Condition, StatefulAction}
 
 
 class TestBehaviorRestriction:

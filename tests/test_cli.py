@@ -92,6 +92,20 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sid", ["", "a{b", "{x}", "no_strategies",
+                                     "1", "true", "nan"])
+    def test_strategy_id_the_tree_cannot_carry_exits_two(self, tmp_path,
+                                                         capsys, sid):
+        specs = [dataclasses.asdict(s) for s in DEFAULT_STRATEGIES]
+        config = write_config(tmp_path, {
+            "strategies": [{**specs[0], "id": sid}, specs[1]]})
+        code = main(["run", "--experiment", "C", "--behavior", "adaptive",
+                     "--seed", "7", "--trials", "1", "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad strategy entry: strategy id")
+        assert repr(sid) in err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["run", "--experiment", "A", "--behavior", "low",

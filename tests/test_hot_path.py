@@ -19,6 +19,7 @@ PACKAGE = Path(adaptbt.__file__).parent
 HOT_FUNCTIONS = {
     "core.py": {"execute_tick", "_tick", "on_start", "on_running"},
     "sim.py": {"on_start", "on_running", "_advance_segment", "_twist_step"},
+    "strategies.py": {"check", "on_start"},
     "bench.py": {"run_episode"},
 }
 

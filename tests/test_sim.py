@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from adaptbt.bench import EpisodeProbe
 from adaptbt.core import (
     Blackboard,
     Key,
@@ -22,11 +23,11 @@ from adaptbt.sim import (
     reactive_torque,
 )
 from adaptbt.strategies import (
+    AngleWithinLimits,
     DataStore,
     GENUINE,
     REGRASP,
     StrategySpec,
-    angle_within_limits_leaf,
     remap_handle_angle,
 )
 
@@ -272,8 +273,9 @@ class TestManipulateTarget:
         bb.set("current_torque", 0.0)
         registry = REGISTRY
         lookup = LookupPose("lookup", LOOKUP_PORTS, world, registry)
-        angle_cond = angle_within_limits_leaf(registry)("angle_ok", ANGLE_PORTS)
-        manip = ManipulateTarget("twist", MANIP_PORTS, world, registry, store)
+        angle_cond = AngleWithinLimits("angle_ok", ANGLE_PORTS, registry)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, registry, store,
+                                 EpisodeProbe())
         loop = ReactiveSequence("twist_loop", [angle_cond, manip])
         return world, store, bb, lookup, loop
 
@@ -342,8 +344,10 @@ class TestManipulateTarget:
     def test_halted_twist_resumes_from_progress(self):
         world, store, bb, lookup, loop = self.setup_episode(3.0, plain_valve())
         self.grasp_now(world, bb, lookup)
+        probe = EpisodeProbe()
+        probe.attempt = 2
         manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store,
-                                 attempt_source=lambda: 2)
+                                 probe)
         for _ in range(77):
             assert tick_root(manip, bb)[0] is R
             world.advance()
@@ -358,10 +362,12 @@ class TestManipulateTarget:
             ticks += 1
         assert status is S
         assert ticks == math.ceil((3.0 - reached) / (LOW.twist_rate * DT))
+        assert {r.attempt for r in store.records} == {2}
 
     def test_requires_grasp(self):
         world, store, bb, lookup, loop = self.setup_episode(1.0, plain_valve())
-        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store,
+                                 EpisodeProbe())
         status, _ = tick_root(manip, bb)
         assert status is F
         assert bb.get(LAST_FAILURE_REASON) == GENUINE
@@ -370,7 +376,8 @@ class TestManipulateTarget:
         world, store, bb, lookup, loop = self.setup_episode(1.0, plain_valve())
         self.grasp_now(world, bb, lookup)
         bb.set("twist_progress", 1.5)
-        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store,
+                                 EpisodeProbe())
         assert tick_root(manip, bb)[0] is S
         assert len(store) == 0
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -6,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from adaptbt.bench import EpisodeProbe
 from adaptbt.core import (
     Blackboard,
     Key,
@@ -15,22 +17,22 @@ from adaptbt.core import (
     tick_root,
 )
 from adaptbt.strategies import (
+    AngleWithinLimits,
+    CheckStrategyViable,
     DataStore,
     EXEMPT_REASONS,
     FTRecord,
+    FTWithinLimits,
     GENUINE,
+    IsTightened,
     REGRASP,
     STRATEGY_SWITCH,
+    SelectStrategy,
     StrategySpec,
-    angle_within_limits_leaf,
-    ft_within_limits_leaf,
-    is_tightened_leaf,
     load,
     persist,
     remap_handle_angle,
     select_strategy,
-    select_strategy_leaf,
-    strategy_viable_leaf,
 )
 
 S = NodeStatus.SUCCESS
@@ -270,6 +272,30 @@ class TestDataStore:
         with pytest.raises(ValueError, match="line 2"):
             load(path)
 
+    @pytest.mark.parametrize("rows", [
+        "v,1_0,1,0.1,0.3,0.0\n",
+        "v,1,1,0.1,0.3,1_000.5\n",
+        "v,1,1,0.1, 0.3,0.0\n",
+        "v,1,1,0.1,0.3,0.0\t\n",
+        "v,1,1,0.1,\x0b0.3,0.0\n",
+        "v,1,1,0.1\x0c,0.3,0.0\n",
+        "v,1,1\xa0,0.1,0.3,0.0\n",
+        "v,1,1,0.1,0.3,\u20030.0\n",
+        'v,1,1,0.1,0.3,"-0.5\n"\nv,1,2,0.2,0.3,0.0\n',
+        'v,1,1,0.1,0.3," -0.5\n',
+    ])
+    def test_load_rejects_number_spellings_persist_never_writes(self, tmp_path,
+                                                                 rows):
+        path = tmp_path / "store.csv"
+        path.write_text(HEADER + rows)
+        with pytest.raises(ValueError, match="line 2: .*'_' or whitespace"):
+            load(path)
+
+    def test_device_id_may_hold_underscore_and_space(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text(HEADER + "valve_1 left,1,1,0.1,0.3,0.0\n")
+        assert load(path).records == [FTRecord("valve_1 left", 1, 1, 0.1, 0.3)]
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "store.csv"
         path.write_text("a,b\n")
@@ -496,34 +522,38 @@ def tick_leaf(factory, ports, bb):
     return tick_root(leaf, bb)[0]
 
 
+def select_leaf(store, probe):
+    return functools.partial(SelectStrategy, store=store, device_id="valve",
+                             registry=REGISTRY, probe=probe)
+
+
 class TestDecisionLeaves:
     def test_select_leaf_writes_choice_and_succeeds(self):
         store = DataStore()
-        seen = []
-        factory = select_strategy_leaf(store, "valve", REGISTRY,
-                                       observer=lambda sid, m: seen.append((sid, m)))
+        probe = EpisodeProbe()
         bb = Blackboard()
-        status = tick_leaf(factory, {"strategy_id": Key("strategy_id")}, bb)
+        status = tick_leaf(select_leaf(store, probe),
+                           {"strategy_id": Key("strategy_id")}, bb)
         assert status is S
         assert bb.get("strategy_id") == "low_torque"
-        assert seen == [("low_torque", 0.0)]
+        assert probe.selections == [("low_torque", 0.0)]
 
     def test_select_leaf_succeeds_even_on_sentinel(self):
         store = DataStore()
         store.record("valve", 1, 1, 0.1, 9.0)
-        factory = select_strategy_leaf(store, "valve", REGISTRY)
         bb = Blackboard()
-        status = tick_leaf(factory, {"strategy_id": Key("strategy_id")}, bb)
+        status = tick_leaf(select_leaf(store, EpisodeProbe()),
+                           {"strategy_id": Key("strategy_id")}, bb)
         assert status is S
         assert bb.get("strategy_id") == NO_STRATEGIES
 
     def test_viability_check(self):
         bb = Blackboard()
         bb.set("strategy_id", "low_torque")
-        assert tick_leaf(strategy_viable_leaf(),
+        assert tick_leaf(CheckStrategyViable,
                          {"strategy_id": Key("strategy_id")}, bb) is S
         bb.set("strategy_id", NO_STRATEGIES)
-        assert tick_leaf(strategy_viable_leaf(),
+        assert tick_leaf(CheckStrategyViable,
                          {"strategy_id": Key("strategy_id")}, bb) is F
 
     @pytest.mark.parametrize("torque,expected", [
@@ -532,7 +562,7 @@ class TestDecisionLeaves:
         bb = Blackboard()
         bb.set("current_torque", torque)
         bb.set("tightened_threshold", 1.5)
-        status = tick_leaf(is_tightened_leaf(),
+        status = tick_leaf(IsTightened,
                            {"torque": Key("current_torque"),
                             "threshold": Key("tightened_threshold")}, bb)
         assert status is expected
@@ -547,7 +577,8 @@ class TestDecisionLeaves:
         bb = Blackboard()
         bb.set("effective_handle_angle", angle)
         bb.set("strategy_id", "low_torque")
-        status = tick_leaf(angle_within_limits_leaf(BY_ID), self.ports_for_angle(), bb)
+        status = tick_leaf(functools.partial(AngleWithinLimits, registry=BY_ID),
+                           self.ports_for_angle(), bb)
         assert status is expected
         if expected is F:
             assert bb.get(LAST_FAILURE_REASON) == REGRASP
@@ -560,7 +591,7 @@ class TestDecisionLeaves:
         bb = Blackboard()
         bb.set("current_torque", torque)
         bb.set("strategy_id", strategy)
-        status = tick_leaf(ft_within_limits_leaf(BY_ID),
+        status = tick_leaf(functools.partial(FTWithinLimits, registry=BY_ID),
                            {"torque": Key("current_torque"),
                             "strategy": Key("strategy_id")}, bb)
         assert status is expected

@@ -20,7 +20,6 @@ from adaptbt.treedef import (
     parse_tree_definition,
     serialize,
     structurally_equal,
-    validate_subtree_seeds,
     validate_switch_coverage,
 )
 
@@ -354,14 +353,17 @@ class TestInstantiation:
 
     @pytest.mark.parametrize("seed", ["nan", "-inf"])
     def test_non_finite_subtree_seed(self, seed):
-        document = parse_ok(doc(
+        text = doc(
             '<Tree id="Main"><Sequence>\n'
             f'<SubTree id="Inner" angle="{{valve_angle}}" gain="{seed}"/>'
             '</Sequence></Tree>'
-            '<Tree id="Inner"><AlwaysSuccess/></Tree>'))
-        [error] = validate_subtree_seeds(document)
+            '<Tree id="Inner"><AlwaysSuccess/></Tree>')
+        [error] = parse_errors(text)
         assert (error.line, error.rule) == (3, "seed-value")
         assert "gain" in error.message
+        # instantiate keeps its own check for documents edited after parsing
+        document = parse_ok(text.replace(f'gain="{seed}"', 'gain="1.0"'))
+        document.trees["Main"].children[0].attrs["gain"] = seed
         with pytest.raises(InstantiationError, match="line 3: SubTree seed 'gain'"):
             instantiate(document, LeafRegistry(), Blackboard())
 
