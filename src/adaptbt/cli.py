@@ -39,12 +39,11 @@ EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
-STATUS_LETTERS = {
-    NodeStatus.SUCCESS: "S",
-    NodeStatus.FAILURE: "F",
-    NodeStatus.RUNNING: "R",
-    NodeStatus.IDLE: "I",
-}
+# Trace letters are picked by identity against these aliases: indexing a
+# dict by status runs the Python-level Enum.__hash__ once per trace entry.
+_RUNNING = NodeStatus.RUNNING
+_SUCCESS = NodeStatus.SUCCESS
+_FAILURE = NodeStatus.FAILURE
 
 
 class ConfigError(Exception):
@@ -236,8 +235,9 @@ def cmd_tick(args: argparse.Namespace) -> int:
             raise ConfigError(f"data store {args.data_store}: {exc}") from exc
 
     def print_tick(tick, sim_time, status, trace):
-        line = " ".join(f"{name}={STATUS_LETTERS[node_status]}"
-                        for name, node_status in trace.entries)
+        line = " ".join(
+            f"{name}={'R' if s is _RUNNING else 'S' if s is _SUCCESS else 'F' if s is _FAILURE else 'I'}"
+            for name, s in trace.entries)
         print(f"[{tick:5d} t={sim_time:7.1f}s] {line}")
         for message in trace.diagnostics:
             print(f"[{tick:5d}] diagnostic: {message}")

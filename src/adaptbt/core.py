@@ -7,6 +7,7 @@ Leaves exchange data through a scoped blackboard.
 from __future__ import annotations
 
 import enum
+import types
 from typing import Callable, Iterator, Sequence as SequenceT
 
 # Reserved blackboard key: failing leaves record why they failed here, the
@@ -18,7 +19,14 @@ LAST_FAILURE_REASON = "last_failure_reason"
 # the switch-coverage validator and the adaptive layer.
 NO_STRATEGIES = "no_strategies"
 
-_VALUE_TYPES = (bool, int, float, str)
+# Most common first: isinstance tries the entries in order, and a port write
+# checks its value on every call. bool is an int; it is listed for the reader.
+_VALUE_TYPES = (float, str, int, bool)
+
+
+def _value_type_error(value) -> TypeError:
+    return TypeError(
+        f"blackboard values must be bool, int, float or str, got {type(value).__name__}")
 
 
 class NodeStatus(enum.Enum):
@@ -88,11 +96,19 @@ class Blackboard:
         self.remaps = dict(remaps or {})
         self._entries: dict[str, bool | int | float | str] = {}
 
+    def slot(self, key: str) -> tuple[dict, str]:
+        """The entries of the scope that owns `key` and its name there,
+        following remaps outward; the key need not be bound yet."""
+        scope = self
+        while key in scope.remaps:
+            key = scope.remaps[key]
+            scope = scope.parent
+        return scope._entries, key
+
     def get(self, key: str):
-        if key in self.remaps:
-            return self.parent.get(self.remaps[key])
+        entries, key = self.slot(key)
         try:
-            return self._entries[key]
+            return entries[key]
         except KeyError:
             raise UnboundKeyError(key) from None
 
@@ -104,23 +120,17 @@ class Blackboard:
 
     def set(self, key: str, value) -> None:
         if not isinstance(value, _VALUE_TYPES):
-            raise TypeError(
-                f"blackboard values must be bool, int, float or str, got {type(value).__name__}")
-        if key in self.remaps:
-            self.parent.set(self.remaps[key], value)
-            return
-        self._entries[key] = value
+            raise _value_type_error(value)
+        entries, key = self.slot(key)
+        entries[key] = value
 
     def delete(self, key: str) -> None:
-        if key in self.remaps:
-            self.parent.delete(self.remaps[key])
-            return
-        self._entries.pop(key, None)
+        entries, key = self.slot(key)
+        entries.pop(key, None)
 
     def has(self, key: str) -> bool:
-        if key in self.remaps:
-            return self.parent.has(self.remaps[key])
-        return key in self._entries
+        entries, key = self.slot(key)
+        return key in entries
 
 
 class TickTrace:
@@ -177,21 +187,48 @@ class TreeNode:
             child.bind(blackboard)
 
     def input(self, port: str):
-        """Resolve an input port: constants pass through, Keys read the blackboard."""
+        """Read a port: a constant, or the value under its Key in the owning scope."""
+        try:
+            entries, key = self._slots[port]
+        except KeyError:
+            entries, key = self._resolve(port)
+        try:
+            return entries[key]
+        except KeyError:
+            raise UnboundKeyError(key) from None
+
+    def output(self, port: str, value) -> None:
+        try:
+            entries, key = self._slots[port]
+        except KeyError:
+            entries, key = self._resolve(port)
+        if entries is self.ports:
+            raise ConfigurationError(
+                f"{self.name} port {port!r} is not bound to a blackboard key")
+        if not isinstance(value, _VALUE_TYPES):
+            raise _value_type_error(value)
+        entries[key] = value
+
+    # Resolved ports: port -> (entries, key). A Key binding resolves to the
+    # entries of the scope that owns it, a constant to (self.ports, port).
+    # Remaps are fixed once bound, and a delete pops from the same entries,
+    # so a slot stays valid. The instance dict is made on the first
+    # resolution; nodes that never touch a port share this empty mapping.
+    _slots = types.MappingProxyType({})
+
+    def _resolve(self, port: str) -> tuple[dict, str]:
         try:
             binding = self.ports[port]
         except KeyError:
             raise ConfigurationError(f"{self.name} has no port {port!r}") from None
         if isinstance(binding, Key):
-            return self.bb.get(binding)
-        return binding
-
-    def output(self, port: str, value) -> None:
-        binding = self.ports.get(port)
-        if not isinstance(binding, Key):
-            raise ConfigurationError(
-                f"{self.name} port {port!r} is not bound to a blackboard key")
-        self.bb.set(str(binding), value)
+            slot = self.bb.slot(str(binding))
+        else:
+            slot = (self.ports, port)
+        if "_slots" not in self.__dict__:
+            self._slots = {}
+        self._slots[port] = slot
+        return slot
 
     # -- execution ------------------------------------------------------
 

@@ -230,29 +230,35 @@ def load(path) -> DataStore:
     start = data.find(b"\n")  # the rows start after the header, which holds '_'
     strict = not data.isascii() or any(data.find(c, start) >= 0 for c in b'_" \t\x0b\x0c')
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
-    header = row = next(reader, None)
-    if header != list(STORE_FIELDS):
-        raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(STORE_FIELDS):
-            raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} fields, "
-                             f"got {len(row)}")
-        device_id, trial, attempt, sim_time, torque, force = row
-        if strict:
-            numbers = f"{trial}{attempt}{sim_time}{torque}{force}"
-            # except the newline a quote left open at the end of the file
-            # swallows: that row still loads, and persist rewrites the file
-            if force.endswith("\n") and next(reader, None) is None:
-                numbers = numbers[:-1]
-            if "_" in numbers or " " in numbers or not numbers.isprintable():
-                raise ValueError(f"line {lineno}: a number field holds '_' or whitespace")
-        try:
-            add(FTRecord(device_id, int(trial), int(attempt),
-                         float(sim_time), float(torque), float(force)))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    try:
+        header = row = next(reader, None)
+        if header != list(STORE_FIELDS):
+            raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(STORE_FIELDS):
+                raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} fields, "
+                                 f"got {len(row)}")
+            device_id, trial, attempt, sim_time, torque, force = row
+            if strict:
+                numbers = f"{trial}{attempt}{sim_time}{torque}{force}"
+                # except the newline a quote left open at the end of the file
+                # swallows: that row still loads, and persist rewrites the file
+                if force.endswith("\n") and next(reader, None) is None:
+                    numbers = numbers[:-1]
+                # int and float also read any Unicode decimal digit
+                if "_" in numbers or " " in numbers or not numbers.isprintable() \
+                        or not numbers.isascii():
+                    raise ValueError(f"line {lineno}: a number field holds a "
+                                     f"non-ASCII character, '_' or whitespace")
+            try:
+                add(FTRecord(device_id, int(trial), int(attempt),
+                             float(sim_time), float(torque), float(force)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     # rows can be appended only after a newline that closes the last row;
     # a quoted field left open at the end of the file swallows that newline
     if stat.S_ISREG(st.st_mode) and data.endswith(b"\n") \

@@ -540,20 +540,29 @@ def serialize(doc: TreeDocument) -> str:
         attrs["strategy_var"] = doc.strategy_var
     lines.append(f"<TreeDocument{_format_attrs(attrs)}>")
     for leaf in doc.declared_leaves.values():
-        lines.append(f'  <Leaf id={quoteattr(leaf.name)}>')
+        lines.append(f'  <Leaf id={_quote(leaf.name)}>')
         for port in leaf.ports:
             lines.append(f"    <Port{_format_attrs(dict(name=port.name, direction=port.direction, type=port.type))}/>")
         lines.append("  </Leaf>")
     for tree_id, node in doc.trees.items():
-        lines.append(f"  <Tree id={quoteattr(tree_id)}>")
+        lines.append(f"  <Tree id={_quote(tree_id)}>")
         _serialize_node(node, lines, 2)
         lines.append("  </Tree>")
     lines.append("</TreeDocument>")
     return "\n".join(lines) + "\n"
 
 
+# quoteattr changes only a value holding one of these characters; any other
+# value it returns as "value", which is cheaper to write directly.
+_ESCAPED = frozenset('&<>"\n\r\t')
+
+
+def _quote(value: str) -> str:
+    return f'"{value}"' if _ESCAPED.isdisjoint(value) else quoteattr(value)
+
+
 def _format_attrs(attrs: dict[str, str]) -> str:
-    return "".join(f" {k}={quoteattr(str(v))}" for k, v in attrs.items())
+    return "".join(f" {k}={_quote(str(v))}" for k, v in attrs.items())
 
 
 def _serialize_node(el: RawElement, lines: list[str], depth: int) -> None:

@@ -284,6 +284,18 @@ class TestTick:
         assert captured.out == ""
         assert not store.exists()
 
+    def test_unreadable_store_row_exits_two(self, canonical_file, tmp_path,
+                                            capsys):
+        store = tmp_path / "store.csv"
+        store.write_text("device_id,trial,attempt,sim_time,torque,force\n"
+                         + "v" * 200_000 + ",1,1,0.1,0.3,0.0\n")
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--data-store", str(store)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: data store {store}: line 2: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key,value", [
         ("num_attempts", 0), ("target_angle", math.nan),
         ("tightened_threshold", 1.0), ("twist_progress", 0.5)])

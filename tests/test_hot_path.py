@@ -13,11 +13,13 @@ from pathlib import Path
 import pytest
 
 import adaptbt
+from adaptbt.core import Blackboard
 
 PACKAGE = Path(adaptbt.__file__).parent
 
 HOT_FUNCTIONS = {
-    "core.py": {"execute_tick", "_tick", "on_start", "on_running"},
+    "core.py": {"execute_tick", "_tick", "on_start", "on_running", "input",
+                "output"},
     "sim.py": {"on_start", "on_running", "_advance_segment", "_twist_step"},
     "strategies.py": {"check", "on_start"},
     "bench.py": {"run_episode"},
@@ -46,3 +48,22 @@ def test_no_enum_member_loads_on_the_hot_path(module):
     # a renamed function would otherwise drop out of the check unnoticed
     assert seen == wanted
     assert offenders == []
+
+
+@pytest.mark.parametrize("method", ["input", "output"])
+def test_port_access_calls_no_blackboard_method(method):
+    # A port resolves through the SubTree remap chain once, in
+    # TreeNode._resolve; a Blackboard call here would put that walk back
+    # on every read or write.
+    tree = ast.parse((PACKAGE / "core.py").read_text(), filename="core.py")
+    node_class = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "TreeNode")
+    function = next(node for node in node_class.body
+                    if isinstance(node, ast.FunctionDef) and node.name == method)
+    blackboard_methods = {name for name, value in vars(Blackboard).items()
+                          if callable(value) and not name.startswith("__")}
+    calls = [f"{node.func.attr} (line {node.lineno})"
+             for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in blackboard_methods]
+    assert calls == []

@@ -283,12 +283,19 @@ class TestDataStore:
         "v,1,1,0.1,0.3,\u20030.0\n",
         'v,1,1,0.1,0.3,"-0.5\n"\nv,1,2,0.2,0.3,0.0\n',
         'v,1,1,0.1,0.3," -0.5\n',
+        "v,\u0661,1,0.1,0.3,0.0\n",
     ])
     def test_load_rejects_number_spellings_persist_never_writes(self, tmp_path,
                                                                  rows):
         path = tmp_path / "store.csv"
         path.write_text(HEADER + rows)
         with pytest.raises(ValueError, match="line 2: .*'_' or whitespace"):
+            load(path)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text(HEADER + "v" * 200_000 + ",1,1,0.1,0.3,0.0\n")
+        with pytest.raises(ValueError, match="^line 2: field larger than"):
             load(path)
 
     def test_device_id_may_hold_underscore_and_space(self, tmp_path):
