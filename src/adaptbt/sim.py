@@ -48,6 +48,9 @@ class DeviceInstance:
     handle_angle: float = 0.0
 
     def __post_init__(self):
+        # an id keys the data store, whose rows need a non-empty device_id
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"device id must be a non-empty string, got {self.id!r}")
         if self.symmetry_order < 1:
             raise ValueError(f"{self.id}: symmetry_order must be >= 1")
         for label in ("stiffness", "damping", "static_friction"):

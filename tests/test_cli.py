@@ -476,6 +476,20 @@ class TestConfigValues:
         assert code in (0, 1)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["run", "tick"])
+    def test_empty_device_id_exits_two(self, canonical_file, tmp_path, capsys,
+                                       command):
+        config = write_config(tmp_path, {"devices": {"": {}}})
+        if command == "run":
+            argv = ["run", "--experiment", "A", "--behavior", "low"]
+        else:
+            argv = ["tick", "--tree", str(canonical_file)]
+        code = main(argv + ["--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "device id must be a non-empty string, got ''" in captured.err
+        assert captured.out == ""
+
 
 class TestConfigHelpers:
     def test_missing_path_is_empty(self):

@@ -441,6 +441,12 @@ class TestDeviceInstance:
         with pytest.raises(ValueError, match=label):
             DeviceInstance("d", **{label: value})
 
+    @pytest.mark.parametrize("device_id", ["", None, 5])
+    def test_id_must_be_non_empty_str(self, device_id):
+        with pytest.raises(ValueError, match=f"device id must be a non-empty "
+                                             f"string, got {device_id!r}$"):
+            DeviceInstance(device_id)
+
     def test_defaults_allow_unbounded_twisting(self):
         device = DeviceInstance("d")
         assert math.isinf(device.joint_limit)

@@ -3,9 +3,11 @@ import functools
 import math
 import os
 import random
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adaptbt.bench import EpisodeProbe
 from adaptbt.core import (
@@ -16,6 +18,7 @@ from adaptbt.core import (
     NodeStatus,
     tick_root,
 )
+from adaptbt import strategies
 from adaptbt.strategies import (
     AngleWithinLimits,
     CheckStrategyViable,
@@ -292,6 +295,29 @@ class TestDataStore:
         with pytest.raises(ValueError, match="line 2: .*'_' or whitespace"):
             load(path)
 
+    def test_row_is_named_by_the_line_it_starts_on(self, tmp_path):
+        # the quoted id of the row on line 2 holds a newline, so it ends on line 3
+        path = tmp_path / "store.csv"
+        path.write_text(HEADER + '"v\nw",1,1,0.1,0.3,0.0\n' + "v,one,1,0.1,0.3,0.0\n")
+        with pytest.raises(ValueError, match="^line 4: invalid literal for int"):
+            load(path)
+
+    def test_empty_device_id_names_line(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text(HEADER + "v,1,1,0.1,0.3,0.0\n" + ",1,2,0.1,0.3,0.0\n")
+        with pytest.raises(ValueError, match="^line 3: device_id must be a "
+                                             "non-empty string, got ''$"):
+            load(path)
+
+    @pytest.mark.parametrize("device_id", [5, None, "", b"v"])
+    def test_record_device_id_must_be_non_empty_str(self, device_id):
+        with pytest.raises(ValueError, match=re.escape(repr(device_id))):
+            FTRecord(device_id, 1, 1, 0.1, 0.3)
+        store = DataStore()
+        with pytest.raises(ValueError, match="device_id must be a non-empty"):
+            store.record(device_id, 1, 1, 0.1, 0.3)
+        assert len(store) == 0
+
     def test_oversized_field_names_line(self, tmp_path):
         path = tmp_path / "store.csv"
         path.write_text(HEADER + "v" * 200_000 + ",1,1,0.1,0.3,0.0\n")
@@ -522,6 +548,166 @@ class TestStoreAppend:
         store.record("v", 1, 1, 1.0, 0.3)
         persist(store, path)
         assert path.read_bytes() == fresh_bytes(store, tmp_path)
+
+
+def row_reader(path):
+    """The store the csv row reader reads from `path`, or its error text."""
+    try:
+        store = strategies._load_rows(path.read_bytes(), path, os.stat(path))
+    except ValueError as exc:
+        return str(exc)
+    return outcome(store)
+
+
+def column_or_row_load(path):
+    try:
+        store = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return outcome(store)
+
+
+def outcome(store):
+    # repr tells 1 from 1.0 and 0.0 from -0.0
+    maxima = {d: repr(store.max_torque(d)) for d in store.devices()}
+    return ([type(r) for r in store.records], list(map(repr, store.records)),
+            maxima, store._file)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1e-300, 5e300, 0.1 + 0.2, 2.0]
+TORQUES = st.sampled_from(SPECIAL_FLOATS) | st.floats(0.0, 1e6)
+NUMBERS = st.sampled_from(SPECIAL_FLOATS + [-2.5]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+def store_rows(ids):
+    return st.lists(st.tuples(ids, st.integers(1, 3), st.integers(1, 3),
+                              NUMBERS, TORQUES, NUMBERS), max_size=12)
+
+
+# stores of plain ids, which the column reader reads, and stores whose ids may
+# hold '_', a space, ',' or '"', which it leaves to the row reader
+STORE_ROWS = store_rows(st.text(alphabet="ab", min_size=1, max_size=3)) \
+    | store_rows(st.text(alphabet='ab_ ,"', min_size=1, max_size=3))
+# spellings persist never writes, or writes otherwise ("1" for 1.0)
+NUMBER_TEXTS = ["nan", "inf", "-1", "1_0", "+1", "1"]
+MUTATIONS = ["none", "duplicate", "extra_field", "blank_line", "crlf",
+             "no_final_newline", "number"]
+
+
+def mutate(text, mutation, data):
+    """`text` as persist wrote it, with one change a hand edit could make."""
+    lines = text.split("\n")[:-1]  # one row a line: no id holds a newline
+    if mutation == "crlf":
+        return text.replace("\n", "\r\n")
+    if mutation == "no_final_newline":
+        return text[:-1]
+    where = data.draw(st.integers(1, len(lines)))
+    if mutation == "blank_line":
+        lines.insert(where, "")
+    elif len(lines) > 1:
+        row = data.draw(st.integers(1, len(lines) - 1))
+        if mutation == "duplicate":
+            lines.insert(where, lines[row])
+        elif mutation == "extra_field":
+            lines[row] += ",0.0"
+        elif mutation == "number":
+            fields = lines[row].rsplit(",", 5)
+            fields[data.draw(st.integers(1, 5))] = data.draw(
+                st.sampled_from(NUMBER_TEXTS))
+            lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnReader:
+    """load reads plain persisted files by column, to the row reader's result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=STORE_ROWS, copies=st.sampled_from([1, 60]),
+           chunk=st.sampled_from([1, 100, strategies._CHUNK_BYTES]),
+           mutation=st.sampled_from(MUTATIONS), data=st.data())
+    def test_load_agrees_with_row_reader(self, tmp_path_factory, rows, copies,
+                                         chunk, mutation, data):
+        store = DataStore()
+        for k in range(copies):  # 60 copies of 12 rows span several chunks
+            for device_id, trial, *rest in rows:
+                try:
+                    store.record(device_id, trial + 10 * k, *rest)
+                except ValueError:  # a duplicate key
+                    pass
+        path = tmp_path_factory.mktemp("store") / "store.csv"
+        persist(store, path)
+        text = path.read_bytes().decode()
+        path.write_bytes(mutate(text, mutation, data).encode())
+        with mock.patch.object(strategies, "_CHUNK_BYTES", chunk):
+            assert column_or_row_load(path) == row_reader(path)
+
+    @pytest.mark.parametrize("text", NUMBER_TEXTS)
+    @pytest.mark.parametrize("field", range(1, 6))
+    def test_number_spelling_agrees_with_row_reader(self, tmp_path, field, text):
+        store = DataStore()
+        store.record("v", 1, 1, 0.1, 0.3)
+        store.record("v", 1, 2, 0.2, 0.4)
+        path = tmp_path / "store.csv"
+        persist(store, path)
+        lines = path.read_text().split("\n")
+        fields = lines[2].split(",")
+        fields[field] = text
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines))
+        assert column_or_row_load(path) == row_reader(path)
+
+    def test_persisted_file_loads_without_add(self, tmp_path):
+        rng = random.Random(99)
+        store = DataStore()
+        for i in range(2000):  # over 16 KB, so several chunks
+            store.record(rng.choice(["normal", "stiff", "testA"]), i // 7 + 1,
+                         i % 7 + 1, 0.1 * i, rng.choice([0.0, -0.0, 2.5, 1e-300]),
+                         rng.uniform(-1.0, 1.0))
+        path = tmp_path / "store.csv"
+        persist(store, path)
+        assert path.stat().st_size > 2 * strategies._CHUNK_BYTES
+
+        def refuse(*args):
+            raise AssertionError("the row reader ran")
+        with mock.patch.object(DataStore, "add", refuse):
+            loaded = load(path)
+        assert loaded.records == store.records
+        assert all(type(r) is FTRecord for r in loaded.records)
+        assert loaded._file[:2] == (os.fspath(path), 2000)
+        for device in store.devices():
+            assert repr(loaded.max_torque(device)) == repr(store.max_torque(device))
+
+    def test_device_seen_only_at_negative_zero_reads_positive_zero(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text(HEADER + "z,1,1,0.1,-0.0,0.0\n")
+        assert repr(load(path).max_torque("z")) == "0.0"
+
+    def test_space_in_id_reaches_row_reader(self, tmp_path, monkeypatch):
+        calls = []
+        real = strategies._load_rows
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+        monkeypatch.setattr(strategies, "_load_rows", spy)
+        store = DataStore()
+        store.record("two words", 1, 1, 0.1, 0.3)
+        path = tmp_path / "store.csv"
+        persist(store, path)
+        assert load(path).records == store.records
+        assert calls == [path]
+
+    def test_duplicate_across_chunks_names_its_line(self, tmp_path):
+        store = DataStore()
+        for i in range(1000):
+            store.record("v", 1, i + 1, 0.1, 0.3)
+        path = tmp_path / "store.csv"
+        persist(store, path)
+        with open(path, "a") as handle:
+            handle.write("v,1,1,0.1,0.4,0.0\n")
+        with pytest.raises(ValueError, match="^line 1002: duplicate"):
+            load(path)
 
 
 def tick_leaf(factory, ports, bb):
