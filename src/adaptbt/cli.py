@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 from .bench import (
@@ -30,7 +32,7 @@ from .bench import (
 )
 from .core import BehaviorTreeError, NodeStatus
 from .sim import DeviceInstance
-from .strategies import DataStore, StrategySpec, load as load_data_store, \
+from .strategies import DataStore, StrategySpec, open_store, \
     persist as persist_data_store
 from .treedef import InstantiationError, TreeDocument, \
     parse_tree_definition, validate_switch_coverage
@@ -120,7 +122,7 @@ def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
     devices = dict(DEFAULT_DEVICES)
     for device_id, fields in config.get("devices", {}).items():
         if not isinstance(fields, dict):
-            raise ConfigError(f"device {device_id}: fields must be an object")
+            raise ConfigError(f"device {device_id!r}: fields must be an object")
         merged = dict(fields)
         merged.pop("id", None)
         base = devices.get(device_id)
@@ -130,7 +132,7 @@ def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
             else:
                 devices[device_id] = dataclasses.replace(base, **merged)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"device {device_id}: {exc}") from exc
+            raise ConfigError(f"device {device_id!r}: {exc}") from exc
     return devices
 
 
@@ -155,6 +157,15 @@ def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
     return result.document
 
 
+def check_output_path(path: str) -> None:
+    """Raise the OSError that writing a file at `path` would meet when its
+    directory is missing or the path is a directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -176,6 +187,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         overrides["trials"] = args.trials
     if args.attempts is not None:
         overrides["num_attempts"] = args.attempts
+
+    for path in (args.out, args.data_store):
+        if path:  # fail before the suite rather than after it
+            check_output_path(path)
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     experiment_config = make_config(args.experiment, args.behavior, seed,
@@ -228,7 +243,7 @@ def cmd_tick(args: argparse.Namespace) -> int:
     store = DataStore()
     if args.data_store:
         try:
-            store = load_data_store(args.data_store)
+            store = open_store(args.data_store, device_id, trial)
         except FileNotFoundError:
             pass
         except ValueError as exc:
@@ -313,6 +328,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ConfigError, BenchError, BehaviorTreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:  # a user-given path that cannot be read or written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

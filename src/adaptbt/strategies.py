@@ -14,6 +14,7 @@ import io
 import math
 import os
 import stat
+import zlib
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -161,8 +162,8 @@ class DataStore:
         self.records: list[FTRecord] = []
         self._index: dict[str, float] = {}
         self._keys: set[tuple] = set()
-        # (path, records on file, _file_state) of the file `load` read, when
-        # new records can be appended to it
+        # (path, records on file, _file_state, line ending) of the file
+        # `load` read, when new records can be appended to it
         self._file: tuple | None = None
 
     def __len__(self) -> int:
@@ -195,6 +196,25 @@ class DataStore:
         return sorted(self._index)
 
 
+class _SummaryStore(DataStore):
+    """A store opened from its file's summary: the records on file are
+    counted and summarised, not held, and `records` holds only new ones."""
+
+    def __init__(self, file: tuple, count: int, index: dict, trials: dict):
+        super().__init__()
+        self._file, self._count, self._index, self._trials = file, count, index, trials
+
+    def __len__(self) -> int:
+        return self._count + len(self.records)
+
+    def add(self, record: FTRecord) -> None:
+        # only a record of a later trial than any on file has a key known new
+        if record[1] <= self._trials.get(record[0], record[1] - 1):
+            raise ValueError(f"trial {record[1]} of device {record[0]!r} may "
+                             f"already be on file; load the store to add it")
+        super().add(record)
+
+
 def _file_state(st: os.stat_result) -> tuple:
     """What must not change between reading a store file and appending to it."""
     return st.st_size, st.st_mtime_ns, st.st_ino, st.st_dev
@@ -204,21 +224,78 @@ def persist(store: DataStore, path) -> None:
     """Write the store as CSV; the writer formats floats with repr.
 
     When `path` is the file the store was loaded from and its size, mtime and
-    inode are unchanged since, only the records added since are appended.
-    Otherwise the file is rewritten whole.
+    inode are unchanged since, only the records added since are appended,
+    with the ending of the file's last row. Otherwise the file is rewritten
+    whole, except from a store opened from a summary, which holds too few
+    records for that and raises ValueError. A regular file also gets its
+    summary, `PATH.summary`, which `open_store` reads.
     """
-    start = None  # records already on file; None rewrites with the header
-    if store._file is not None and store._file[0] == os.fspath(path):
+    path = os.fsdecode(path)
+    start, ending = None, "\n"  # None rewrites the file with the header
+    if store._file is not None and store._file[0] == path:
         try:
             if _file_state(os.stat(path)) == store._file[2]:
-                start = store._file[1]
+                start, ending = store._file[1], store._file[3]
         except FileNotFoundError:
             pass
+    if start is None and isinstance(store, _SummaryStore):
+        raise ValueError(f"data store {path}: not the unchanged file this store "
+                         f"was opened from, and the store holds only new records")
     with open(path, "w" if start is None else "a", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator=ending)
         if start is None:
             writer.writerow(STORE_FIELDS)
         writer.writerows(store.records[start:])
+        handle.flush()
+        st = os.fstat(handle.fileno())
+    if stat.S_ISREG(st.st_mode):
+        _write_summary(store, path, st, ending)
+
+
+def _write_summary(store: DataStore, path: str, st: os.stat_result,
+                   ending: str) -> None:
+    """Replace `PATH.summary`: a crc32 line, then csv rows of the file state,
+    record count and line ending, and each device's top trial and maximum."""
+    trials = dict(store._trials) if isinstance(store, _SummaryStore) else {}
+    for record in store.records:
+        if record[1] > trials.get(record[0], record[1] - 1):
+            trials[record[0]] = record[1]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow((*_file_state(st), len(store), ending))
+    writer.writerows((d, trials[d], repr(m)) for d, m in store._index.items())
+    body = text.getvalue().encode()
+    with open(f"{path}.summary.tmp", "wb") as handle:
+        handle.write(b"%08x\n%s" % (zlib.crc32(body), body))
+    os.replace(f"{path}.summary.tmp", f"{path}.summary")
+
+
+def open_store(path, device_id: str, trial: int) -> DataStore:
+    """The store at `path`, to record `trial` of `device_id` in.
+
+    When `PATH.summary` is intact, describes the file as it is, and lists
+    only trials of `device_id` below `trial`, no new key can collide with one
+    on file: the store is opened from the summary without reading the file.
+    Otherwise it is `load(path)`.
+    """
+    path = os.fsdecode(path)
+    try:
+        with open(f"{path}.summary", "rb") as handle:
+            check, _, body = handle.read().partition(b"\n")
+        st = os.stat(path)
+        if int(check, 16) == zlib.crc32(body):
+            (*state, count, ending), *rows = csv.reader(
+                io.StringIO(body.decode(), newline=""))
+            state, count = tuple(map(int, state)), int(count)
+            index = {d: float(m) for d, _, m in rows}
+            trials = {d: int(t) for d, t, _ in rows}
+            if (state == _file_state(st) and count >= 0 and ending in ("\n", "\r\n")
+                    and all(0.0 <= m < _INF for m in index.values())
+                    and trials.get(device_id, trial - 1) < trial):
+                return _SummaryStore((path, 0, state, ending), count, index, trials)
+    except (OSError, ValueError, csv.Error):
+        pass
+    return load(path)
 
 
 # The file header, and what a row may hold for the column reader: printable
@@ -247,10 +324,11 @@ def load(path) -> DataStore:
     return store
 
 
-def _appendable(store: DataStore, path, st: os.stat_result) -> None:
+def _appendable(store: DataStore, path, st: os.stat_result, data: bytes) -> None:
     """Let `persist` append to the regular file the store was read from."""
     if stat.S_ISREG(st.st_mode):
-        store._file = (os.fspath(path), len(store.records), _file_state(st))
+        ending = "\r\n" if data.endswith(b"\r\n") else "\n"
+        store._file = (os.fsdecode(path), len(store.records), _file_state(st), ending)
 
 
 def _load_columns(data: bytes, path, st: os.stat_result) -> DataStore | None:
@@ -280,7 +358,7 @@ def _load_columns(data: bytes, path, st: os.stat_result) -> DataStore | None:
                 index[device_id] = torque
             elif device_id not in index:
                 index[device_id] = 0.0
-    _appendable(store, path, st)
+    _appendable(store, path, st, data)
     return store
 
 
@@ -360,7 +438,7 @@ def _load_rows(data: bytes, path, st: os.stat_result) -> DataStore:
     # rows can be appended only after a newline that closes the last row;
     # a quoted field left open at the end of the file swallows that newline
     if data.endswith(b"\n") and not (row and row[-1].endswith("\n")):
-        _appendable(store, path, st)
+        _appendable(store, path, st, data)
     return store
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ from adaptbt.cli import (
     main,
     strategies_from_config,
 )
-from adaptbt.strategies import DataStore, persist
+from adaptbt.strategies import DataStore, load, open_store, persist
 
 ALL_IDS = [s.id for s in DEFAULT_STRATEGIES]
 
@@ -57,6 +58,31 @@ class TestRun:
                      "--seed", "7", "--trials", "2"])
         assert code == 1
         assert "0/2 trials succeeded" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--out", "--data-store"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_bad_output_path_fails_before_the_suite(self, tmp_path, capsys,
+                                                    monkeypatch, flag, where):
+        path = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+        monkeypatch.setattr("adaptbt.cli.run_experiment", None)  # never reached
+        code = main(["run", "--experiment", "A", "--behavior", "low",
+                     flag, str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        reason = ("No such file or directory" if where == "missing_dir"
+                  else "Is a directory")
+        assert captured.err == f"error: {path}: {reason}\n"
+        assert captured.out == ""
+
+    def test_store_gets_its_summary(self, tmp_path, capsys):
+        store = tmp_path / "store.csv"
+        assert main(["run", "--experiment", "C", "--behavior", "adaptive",
+                     "--seed", "7", "--trials", "1",
+                     "--data-store", str(store)]) == 0
+        capsys.readouterr()
+        opened = open_store(store, "stiff", 2)
+        assert type(opened) is not DataStore
+        assert len(opened) == len(load(store))
 
     def test_flag_beats_config(self, tmp_path, capsys):
         config = write_config(tmp_path, {"trials": 5, "seed": 11})
@@ -270,6 +296,55 @@ class TestTick:
         fresh = tmp_path / "fresh.csv"
         persist(reference, fresh)
         assert path.read_bytes() == fresh.read_bytes()
+
+    def test_trial_on_file_exits_two(self, canonical_file, tmp_path, capsys):
+        config = write_config(tmp_path, {"device": "stiff", "trial": 1})
+        store = tmp_path / "store.csv"
+        argv = ["tick", "--tree", str(canonical_file), "--config", str(config),
+                "--seed", "5", "--data-store", str(store)]
+        assert main(argv) in (0, 1)
+        # keep the first record only, so the rerun selects as before
+        store.write_text("".join(store.read_text().splitlines(True)[:2]))
+        before = store.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: duplicate record key ('stiff', 1, 1, ")
+        assert store.read_bytes() == before
+
+    def test_chain_without_summaries_writes_the_same_store(self, canonical_file,
+                                                           tmp_path, capsys):
+        stores = tmp_path / "summary.csv", tmp_path / "no_summary.csv"
+        for trial in range(1, 5):
+            config = write_config(tmp_path, {
+                "device": "stiff" if trial % 2 else "normal", "trial": trial})
+            for store in stores:
+                summary = store.with_name(store.name + ".summary")
+                if store == stores[1] and summary.exists():
+                    summary.unlink()
+                assert main(["tick", "--tree", str(canonical_file), "--config",
+                             str(config), "--seed", "5",
+                             "--data-store", str(store)]) in (0, 1)
+        capsys.readouterr()
+        assert stores[0].read_bytes() == stores[1].read_bytes()
+
+    def test_directory_store_exits_two(self, canonical_file, tmp_path, capsys):
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--data-store", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path}: Is a directory\n"
+        assert captured.out == ""
+
+    def test_write_error_without_a_path_exits_two(self, canonical_file,
+                                                  tmp_path, capsys, monkeypatch):
+        def full(store, path):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr("adaptbt.cli.persist_data_store", full)
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--data-store", str(tmp_path / "store.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: No space left on device\n"
 
     @pytest.mark.parametrize("trial", [-3, 0])
     def test_trial_below_one_exits_two(self, canonical_file, tmp_path, capsys,
@@ -530,6 +605,11 @@ class TestConfigHelpers:
             {"devices": {"fresh": {"symmetry_order": 4}}})
         assert devices["fresh"].id == "fresh"
         assert devices["fresh"].symmetry_order == 4
+
+    @pytest.mark.parametrize("device_id", ["", " ", "stiff"])
+    def test_device_error_quotes_the_id(self, device_id):
+        with pytest.raises(ConfigError, match=f"^device {re.escape(repr(device_id))}: "):
+            devices_from_config({"devices": {device_id: {"stiffness": -1.0}}})
 
     def test_bad_device_field_rejected(self):
         with pytest.raises(ConfigError, match="stiff"):

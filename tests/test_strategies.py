@@ -4,6 +4,7 @@ import math
 import os
 import random
 import re
+import zlib
 from unittest import mock
 
 import pytest
@@ -33,6 +34,7 @@ from adaptbt.strategies import (
     SelectStrategy,
     StrategySpec,
     load,
+    open_store,
     persist,
     remap_handle_angle,
     select_strategy,
@@ -708,6 +710,205 @@ class TestColumnReader:
             handle.write("v,1,1,0.1,0.4,0.0\n")
         with pytest.raises(ValueError, match="^line 1002: duplicate"):
             load(path)
+
+
+def summary_path(path):
+    return path.with_name(path.name + ".summary")
+
+
+def replace_bytes(path, data):
+    """Write `path` as an editor saves it: a new file moved over the old."""
+    new = path.with_name(path.name + ".new")
+    new.write_bytes(data)
+    os.replace(new, path)
+
+
+def open_and_extend(opener, path, device_id, trial, new_records):
+    """What a tick does with the store at `path`: its length, maxima and
+    selection when opened, then the file's bytes once `new_records` are
+    added and persisted, or the error text where one is raised."""
+    try:
+        store = opener(path, device_id, trial)
+    except ValueError as exc:
+        return str(exc)
+    opened = (len(store), store.devices(),
+              {d: repr(store.max_torque(d)) for d in SUMMARY_DEVICES},
+              select_strategy(store, device_id, REGISTRY))
+    try:
+        for attempt, (sim_time, torque) in enumerate(new_records, 1):
+            store.record(device_id, trial, attempt, sim_time, torque)
+        persist(store, path)
+    except ValueError as exc:
+        return opened, str(exc)
+    return opened, path.read_bytes()
+
+
+def full_load(path, device_id, trial):
+    return load(path)
+
+
+# ids the column reader takes, and ids csv must quote
+SUMMARY_DEVICES = ["a", "b", "c d", 'e,"f"']
+SUMMARY_TORQUES = st.sampled_from([0.0, -0.0, 1e-300, 0.3, 0.5, 0.1 + 0.2,
+                                   2.5, 5e300])
+NEW_RECORDS = st.lists(st.tuples(st.sampled_from([0.1, 0.5, 2.0]),
+                                 SUMMARY_TORQUES), max_size=3, unique_by=lambda r: r[0])
+# tick-like cycles: a device, how far its trial advances, the new records
+TICK_CYCLES = st.lists(st.tuples(st.sampled_from(SUMMARY_DEVICES),
+                                 st.integers(1, 2), NEW_RECORDS),
+                       min_size=1, max_size=5)
+SUMMARY_MUTATIONS = ["summary_deleted", "summary_truncated", "summary_flipped",
+                     "summary_copied", "csv_touched", "csv_appended"]
+
+
+class TestStoreSummary:
+    """open_store reads a store's summary in place of the file, to load's result."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(cycles=TICK_CYCLES, device_id=st.sampled_from(SUMMARY_DEVICES),
+           trial_step=st.integers(-2, 2), new_records=NEW_RECORDS,
+           mutation=st.sampled_from(MUTATIONS + SUMMARY_MUTATIONS),
+           data=st.data())
+    def test_open_store_agrees_with_load(self, tmp_path_factory, cycles,
+                                         device_id, trial_step, new_records,
+                                         mutation, data):
+        # the same chain on two files: one opened as tick opens it, one loaded
+        directory = tmp_path_factory.mktemp("summary")
+        opened, loaded = directory / "opened.csv", directory / "loaded.csv"
+        trials = {}
+        for cycle_device, step, records in cycles:
+            trials[cycle_device] = trials.get(cycle_device, 0) + step
+            for path, opener in ((opened, open_store), (loaded, full_load)):
+                try:
+                    store = opener(path, cycle_device, trials[cycle_device])
+                except FileNotFoundError:
+                    store = DataStore()
+                for attempt, (sim_time, torque) in enumerate(records, 1):
+                    store.record(cycle_device, trials[cycle_device], attempt,
+                                 sim_time, torque)
+                persist(store, path)
+        assert opened.read_bytes() == loaded.read_bytes()
+
+        if mutation in MUTATIONS and mutation != "none":
+            text = mutate(loaded.read_bytes().decode(), mutation, data).encode()
+            replace_bytes(opened, text)
+            replace_bytes(loaded, text)
+        summary = summary_path(opened)
+        if mutation == "summary_deleted":
+            summary.unlink()
+        elif mutation == "summary_truncated":
+            body = summary.read_bytes()
+            summary.write_bytes(body[:data.draw(st.integers(0, len(body) - 1))])
+        elif mutation == "summary_flipped":
+            body = bytearray(summary.read_bytes())
+            body[data.draw(st.integers(0, len(body) - 1))] ^= data.draw(
+                st.integers(1, 255))
+            summary.write_bytes(bytes(body))
+        elif mutation == "summary_copied":
+            summary.write_bytes(summary_path(loaded).read_bytes())
+        elif mutation == "csv_touched":
+            st_ = opened.stat()
+            os.utime(opened, ns=(st_.st_atime_ns, st_.st_mtime_ns + 10**9))
+        elif mutation == "csv_appended":
+            row = f"{data.draw(st.sampled_from('ab'))},{data.draw(st.integers(1, 9))},9,0.5,3.0,0.0\n"
+            for path in (opened, loaded):
+                with open(path, "a") as handle:
+                    handle.write(row)
+
+        trial = max(trials.get(device_id, 0) + trial_step, 1)
+        assert open_and_extend(open_store, opened, device_id, trial, new_records) \
+            == open_and_extend(full_load, loaded, device_id, trial, new_records)
+
+    def chain(self, tmp_path):
+        """A store persisted twice by tick-like cycles, and its file."""
+        path = tmp_path / "store.csv"
+        store = DataStore()
+        store.record("v", 1, 1, 0.1, 0.3)
+        store.record("w", 1, 1, 0.1, 0.0)
+        persist(store, path)
+        store = open_store(path, "v", 2)
+        store.record("v", 2, 1, 0.2, 0.7)
+        persist(store, path)
+        return path
+
+    def test_summary_store_holds_only_new_records(self, tmp_path):
+        path = self.chain(tmp_path)
+        store = open_store(path, "v", 3)
+        assert type(store) is not DataStore and store.records == []
+        assert len(store) == 3 and store.devices() == ["v", "w"]
+        assert (store.max_torque("v"), store.max_torque("w")) == (0.7, 0.0)
+        with pytest.raises(ValueError, match="trial 2 of device 'v' may already"):
+            store.record("v", 2, 9, 0.1, 0.1)
+        store.record("w", 2, 1, 0.1, 0.1)  # a later trial of another device
+
+    def test_trial_on_file_takes_full_load(self, tmp_path):
+        path = self.chain(tmp_path)
+        with mock.patch.object(strategies, "load", wraps=load) as spy:
+            store = open_store(path, "v", 2)
+        spy.assert_called_once_with(os.fspath(path))
+        assert type(store) is DataStore and len(store.records) == 3
+        with pytest.raises(ValueError, match=re.escape(
+                "duplicate record key ('v', 2, 1, 0.2)")):
+            store.record("v", 2, 1, 0.2, 0.7)
+
+    def test_persist_to_changed_file_raises(self, tmp_path):
+        path = self.chain(tmp_path)
+        store = open_store(path, "v", 3)
+        store.record("v", 3, 1, 0.1, 0.3)
+        with open(path, "a") as handle:
+            handle.write("w,5,1,0.1,0.3,0.0\n")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"^data store {re.escape(str(path))}: "):
+            persist(store, path)
+        assert path.read_bytes() == before
+
+    def test_persist_to_other_path_raises(self, tmp_path):
+        path = self.chain(tmp_path)
+        before = path.read_bytes()
+        other = tmp_path / "other.csv"
+        other.write_bytes(before)
+        store = open_store(path, "v", 3)
+        store.record("v", 3, 1, 0.1, 0.3)
+        with pytest.raises(ValueError, match=f"^data store {re.escape(str(other))}: "):
+            persist(store, other)
+        assert other.read_bytes() == before and path.read_bytes() == before
+
+    @pytest.mark.parametrize("old,new", [
+        (b"0.7\n", b"nan\n"), (b"0.7\n", b"inf\n"), (b"0.7\n", b"-1.0\n"),
+        (b"0.7\n", b"0.7,1\n"), (b",2,", b",two,"), (b',3,"', b',-3,"'),
+        (b'"\n"', b'"\r"'), (b"w,1,0.0\n", b"w,1\n")],
+        ids=["nan", "inf", "negative", "extra_field", "trial_text",
+             "negative_count", "bad_ending", "short_row"])
+    def test_malformed_summary_takes_full_load(self, tmp_path, old, new):
+        # a summary whose checksum holds but whose content does not
+        path = self.chain(tmp_path)
+        check, body = summary_path(path).read_bytes().split(b"\n", 1)
+        assert old in body
+        body = body.replace(old, new)
+        summary_path(path).write_bytes(b"%08x\n%s" % (zlib.crc32(body), body))
+        with mock.patch.object(strategies, "load", wraps=load) as spy:
+            store = open_store(path, "v", 3)
+        spy.assert_called_once()
+        assert type(store) is DataStore and len(store) == 3
+
+    @pytest.mark.parametrize("opener", [full_load, open_store])
+    def test_crlf_store_stays_crlf(self, tmp_path, opener):
+        path = tmp_path / "store.csv"
+        path.write_bytes(HEADER.replace("\n", "\r\n").encode()
+                         + b"v,1,1,0.1,0.3,0.0\r\n")
+        for trial in (2, 3, 4):
+            store = opener(path, "v", trial)
+            store.record("v", trial, 1, 0.2, 0.4)
+            persist(store, path)
+        data = path.read_bytes()
+        assert data.count(b"\n") == data.count(b"\r\n") == 5
+        assert load(path).records[-1] == FTRecord("v", 4, 1, 0.2, 0.4)
+
+    def test_no_summary_beside_a_non_regular_file(self, tmp_path):
+        store = DataStore()
+        store.record("v", 1, 1, 0.1, 0.3)
+        persist(store, os.devnull)
+        assert not os.path.exists(os.devnull + ".summary")
 
 
 def tick_leaf(factory, ports, bb):
