@@ -2,8 +2,8 @@
 
 The nine suites (A/B/C x low/high/adaptive, seed 7) run in process through
 the functions `adaptbt run` calls, and a chain of twelve `adaptbt tick
---data-store` calls runs through `cli.main`. Each output is pinned by its
-sha256, so a change that shifts every seeded run the same way fails here.
+--data-store` calls runs through `cli.main`. Each output, and the chain's
+stdout, is pinned by its sha256, so a change that shifts every seeded run the same way fails here.
 A change that must move a digest says why in CHANGES.md.
 """
 
@@ -63,6 +63,11 @@ SUITE_DIGESTS = {
 TICK_CHAIN_DIGEST = (
     "9c96c621879ab4e44002b64255225a00b245882c8caf60d2f9063eccbe29fd22")
 
+# what the same twelve calls print, with the store path as STORE_PATH
+TICK_CHAIN_STDOUT_DIGEST = (
+    "714f6bb1a7389986b15e92ddfedc6fb09697c2ea95e8658ba40eb752f6dcbcb9")
+STORE_PATH = "<store>"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -93,3 +98,20 @@ def test_tick_chain_store_is_pinned(tmp_path, capsys):
         assert code in (0, 1)
     capsys.readouterr()
     assert sha256(store.read_bytes()) == TICK_CHAIN_DIGEST
+
+
+def test_tick_chain_stdout_is_pinned(tmp_path, capsys):
+    # the per-tick trace lines, diagnostics and episode lines of every call
+    tree = tmp_path / "canonical.xml"
+    tree.write_text(canonical_tree_text([s.id for s in DEFAULT_STRATEGIES]))
+    store = tmp_path / "store.csv"
+    stdout = []
+    for trial in range(1, 13):
+        config = tmp_path / f"trial{trial}.json"
+        config.write_text(json.dumps(
+            {"device": "stiff" if trial % 2 else "normal", "trial": trial}))
+        code = main(["tick", "--tree", str(tree), "--config", str(config),
+                     "--seed", "5", "--data-store", str(store)])
+        assert code in (0, 1)
+        stdout.append(capsys.readouterr().out.replace(str(store), STORE_PATH))
+    assert sha256("".join(stdout).encode()) == TICK_CHAIN_STDOUT_DIGEST
