@@ -20,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Callable
-from xml.sax.saxutils import quoteattr
 
 from .core import (
     Blackboard,
@@ -48,6 +47,7 @@ from .treedef import (
     TreeDocument,
     instantiate,
     parse_tree_definition,
+    quote_attribute,
     validate_switch_coverage,
 )
 
@@ -267,9 +267,9 @@ def canonical_tree_text(strategy_ids: list[str]) -> str:
     cases = []
     for sid in strategy_ids:
         cases.append(
-            f'          <Case value={quoteattr(sid)}>\n'
-            f'            <SubTree id="StrategyRun" name={quoteattr(sid + "_run")} '
-            f'strategy={quoteattr(sid)} target_angle="{{target_angle}}" '
+            f'          <Case value={quote_attribute(sid)}>\n'
+            f'            <SubTree id="StrategyRun" name={quote_attribute(sid + "_run")} '
+            f'strategy={quote_attribute(sid)} target_angle="{{target_angle}}" '
             f'tightened_threshold="{{tightened_threshold}}" '
             f'twist_progress="{{twist_progress}}" '
             f'last_failure_reason="{{last_failure_reason}}" '

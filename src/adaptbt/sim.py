@@ -18,7 +18,8 @@ import random
 from dataclasses import dataclass
 
 from .core import LAST_FAILURE_REASON, NodeStatus, StatefulAction
-from .strategies import DataStore, GENUINE, StrategySpec, remap_handle_angle
+from .strategies import DataStore, GENUINE, StrategySpec, check_field_types, \
+    remap_handle_angle
 
 RUNNING = NodeStatus.RUNNING
 SUCCESS = NodeStatus.SUCCESS
@@ -51,6 +52,7 @@ class DeviceInstance:
         # an id keys the data store, whose rows need a non-empty device_id
         if not isinstance(self.id, str) or not self.id:
             raise ValueError(f"device id must be a non-empty string, got {self.id!r}")
+        check_field_types(self)
         if self.symmetry_order < 1:
             raise ValueError(f"{self.id}: symmetry_order must be >= 1")
         for label in ("stiffness", "damping", "static_friction"):

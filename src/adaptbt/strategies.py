@@ -15,7 +15,7 @@ import math
 import os
 import stat
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple
 
@@ -39,6 +39,25 @@ EXEMPT_REASONS = (REGRASP, STRATEGY_SWITCH)
 _INF = math.inf
 _tuple_new = tuple.__new__
 _SUCCESS = NodeStatus.SUCCESS
+
+
+# annotation -> the value types a field so annotated takes, and their name
+_FIELD_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an int"),
+                "float": ((int, float), "a number"), "bool": ((bool,), "a bool")}
+
+
+def check_field_types(spec) -> None:
+    """Raise TypeError, naming the field, for a value its annotation refuses.
+
+    For the id-keyed dataclasses `StrategySpec` and `DeviceInstance`: a bool
+    is not a number, an int field takes no float, a float field takes an int.
+    """
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        types, kind = _FIELD_TYPES[field.type]
+        if not isinstance(value, types) or (
+                type(value) is bool and field.type != "bool"):
+            raise TypeError(f"{spec.id}: {field.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +88,7 @@ class StrategySpec:
         if not as_text:
             raise ValueError(f"strategy id {self.id!r} must read as text: no braces, "
                              f"no number or bool spelling")
+        check_field_types(self)
         for label in ("ft_limit", "angle_min", "angle_max", "twist_rate",
                       "t_approach", "t_grasp", "t_retract", "p_segment_failure"):
             if not -math.inf < getattr(self, label) < math.inf:

@@ -25,9 +25,9 @@ and a literal value seeds a scope-local constant.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from xml.parsers import expat
-from xml.sax.saxutils import quoteattr
 
 from .core import (
     AlwaysFailure,
@@ -157,18 +157,37 @@ def convert_literal(text: str, type_name: str):
     return text
 
 
+# The spellings float() accepts: surrounding whitespace, a sign, any Unicode
+# decimal digits with single underscores between them, a fraction and an
+# exponent, or a case-blind inf, infinity or nan. Its whitespace is re's but
+# for \x1c-\x1f, which it does not strip. int() takes those whose `real`
+# group is empty: digits alone.
+_SPACE = r"[^\S\x1c-\x1f]*"
+_DIGITS = r"\d(?:_?\d)*"
+_EXPONENT = rf"(?:[eE][+-]?{_DIGITS})?"
+_NUMBER_TEXT = re.compile(
+    rf"{_SPACE}[+-]?(?:{_DIGITS}(?P<real>(?:\.(?:{_DIGITS})?)?{_EXPONENT})"
+    rf"|\.{_DIGITS}{_EXPONENT}|(?i:inf|infinity|nan)){_SPACE}")
+
+
 def infer_literal(text: str):
-    """Best-effort typing for SubTree seed constants."""
+    """Best-effort typing for SubTree seed constants.
+
+    An int spelling gives an int, any other float spelling a finite float
+    (a non-finite one raises ValueError), "true" and "false" a bool, and
+    all else the text itself.
+    """
     if text in ("true", "false"):
         return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
+    number = _NUMBER_TEXT.fullmatch(text)
+    if number is None:
         return text
+    if number["real"] == "":
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts from text
+            pass
+    value = float(text)
     if -math.inf < value < math.inf:
         return value
     raise ValueError(f"expected a finite number, got {text!r}")
@@ -540,29 +559,42 @@ def serialize(doc: TreeDocument) -> str:
         attrs["strategy_var"] = doc.strategy_var
     lines.append(f"<TreeDocument{_format_attrs(attrs)}>")
     for leaf in doc.declared_leaves.values():
-        lines.append(f'  <Leaf id={_quote(leaf.name)}>')
+        lines.append(f'  <Leaf id={quote_attribute(leaf.name)}>')
         for port in leaf.ports:
             lines.append(f"    <Port{_format_attrs(dict(name=port.name, direction=port.direction, type=port.type))}/>")
         lines.append("  </Leaf>")
     for tree_id, node in doc.trees.items():
-        lines.append(f"  <Tree id={_quote(tree_id)}>")
+        lines.append(f"  <Tree id={quote_attribute(tree_id)}>")
         _serialize_node(node, lines, 2)
         lines.append("  </Tree>")
     lines.append("</TreeDocument>")
     return "\n".join(lines) + "\n"
 
 
-# quoteattr changes only a value holding one of these characters; any other
-# value it returns as "value", which is cheaper to write directly.
+# a value holding none of these characters is written as it is, in ""
 _ESCAPED = frozenset('&<>"\n\r\t')
 
 
-def _quote(value: str) -> str:
-    return f'"{value}"' if _ESCAPED.isdisjoint(value) else quoteattr(value)
+def quote_attribute(value: str) -> str:
+    """`value` escaped and quoted as an XML attribute value.
+
+    The output is `xml.sax.saxutils.quoteattr`'s, character for character;
+    importing that module would load `urllib.request` and with it
+    `http.client`, `email` and `ssl` into every process.
+    """
+    if _ESCAPED.isdisjoint(value):
+        return f'"{value}"'
+    value = (value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+             .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;"))
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
 
 
 def _format_attrs(attrs: dict[str, str]) -> str:
-    return "".join(f" {k}={_quote(str(v))}" for k, v in attrs.items())
+    return "".join(f" {k}={quote_attribute(str(v))}" for k, v in attrs.items())
 
 
 def _serialize_node(el: RawElement, lines: list[str], depth: int) -> None:

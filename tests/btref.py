@@ -8,7 +8,14 @@ over time, not node-local state.
 
 State is held externally: a dict from node path to the resume cursor of
 memory composites. Halting a subtree drops every cursor under its path.
+
+Each tick also records `trace`: the pre-order list of (name, status) of the
+nodes it visited, each with the status its visit returned. Nodes are named
+as conftest.build_engine_tree names them: leaf i is "L<i>", and composites
+are "<kind><n>", numbered in post-order.
 """
+
+import itertools
 
 SUCCESS = "S"
 FAILURE = "F"
@@ -21,8 +28,20 @@ class ReferenceTree:
         self.schedules = schedules
         self.cursors = {}
         self.leaf_ticks = {}
+        self.names = {}
+        self._name(shape, (), itertools.count())
+        self.trace = []
+
+    def _name(self, node, path, counter):
+        if node[0] == "leaf":
+            self.names[path] = f"L{node[1]}"
+            return
+        for i, child in enumerate(node[1]):
+            self._name(child, path + (i,), counter)
+        self.names[path] = f"{node[0]}{next(counter)}"
 
     def root_tick(self):
+        self.trace = []
         return self._tick(self.shape, ())
 
     def _drop(self, path):
@@ -30,6 +49,13 @@ class ReferenceTree:
         self.cursors = {p: c for p, c in self.cursors.items() if p[:depth] != path}
 
     def _tick(self, node, path):
+        slot = len(self.trace)
+        self.trace.append(None)
+        status = self._visit(node, path)
+        self.trace[slot] = (self.names[path], status)
+        return status
+
+    def _visit(self, node, path):
         kind = node[0]
         if kind == "leaf":
             leaf_id = node[1]

@@ -566,6 +566,27 @@ class TestConfigValues:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("payload,field", [
+        ({"devices": {"stiff": {"stiffness": True}}}, "stiffness"),
+        ({"devices": {"stiff": {"symmetry_order": 2.5}}}, "symmetry_order"),
+        ({"devices": {"stiff": {"stiffness": "a"}}}, "stiffness"),
+        ({"strategies": [{**dataclasses.asdict(DEFAULT_STRATEGIES[0]),
+                          "p_segment_failure": True}]}, "p_segment_failure"),
+        ({"strategies": [{**dataclasses.asdict(DEFAULT_STRATEGIES[0]),
+                          "p_segment_failure": "x"}]}, "p_segment_failure"),
+    ])
+    def test_mistyped_field_exits_two_naming_it(self, tmp_path, capsys, payload,
+                                                field):
+        config = write_config(tmp_path, payload)
+        code = main(["run", "--experiment", "A", "--behavior", "low",
+                     "--trials", "1", "--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f": {field} must be " in captured.err
+        assert "not supported" not in captured.err
+        assert captured.out == ""
+
+
 class TestConfigHelpers:
     def test_missing_path_is_empty(self):
         assert load_config(None) == {}

@@ -20,6 +20,7 @@ from adaptbt.core import (
     SwitchCaseError,
     SwitchStatement,
     TickTrace,
+    TreeNode,
     UnboundKeyError,
     iter_nodes,
     tick_root,
@@ -510,3 +511,72 @@ class TestEngineContract:
         status, trace = tick_root(Sequence("seq", [reader]), bb)
         assert status is F
         assert trace.diagnostics == ["reader: unbound blackboard key 'missing'"]
+
+
+class VisitProbe(TreeNode):
+    """Leaf that plays one scripted step per tick and counts its resets."""
+
+    def __init__(self, steps):
+        super().__init__("probe", ports={"flag": Key("missing")})
+        self.steps = iter(steps)
+        self.resets = 0
+
+    def _tick(self, trace):
+        step = next(self.steps)
+        if step == "unbound":
+            return self.input("flag")
+        if step == "exempt":
+            self.bb.set(LAST_FAILURE_REASON, "regrasp")
+            return F
+        return step
+
+    def _reset(self):
+        self.resets += 1
+
+
+# The tick root and a decorator child are visited through execute_tick, a
+# composite's child by the composite's own loop; both wrappers return the
+# probe's status as is.
+VISIT_PATHS = {
+    "root": lambda leaf: leaf,
+    "decorator": lambda leaf: SubTreeScope(leaf, name="wrap"),
+    "composite": lambda leaf: Sequence("wrap", [leaf]),
+}
+
+UNBOUND = "probe: unbound blackboard key 'missing'"
+INVALID = ("ConfigurationError", "probe returned invalid status <NodeStatus.IDLE: 'idle'>")
+
+# steps -> per tick (status, probe entries, diagnostics) or the error raised,
+# then the probe's status, its reset count and the failure reason it left
+VISIT_CASES = {
+    "unbound_read": ([R, "unbound", S], [
+        (R, [("probe", R)], []),
+        (F, [("probe", F)], [UNBOUND]),
+        (S, [("probe", S)], [])], (S, 1, None)),
+    "invalid_status": ([R, I], [
+        (R, [("probe", R)], []),
+        INVALID], (R, 0, None)),
+    "exempt_failure": ([R, "exempt"], [
+        (R, [("probe", R)], []),
+        (F, [("probe", F)], [])], (F, 0, "regrasp")),
+}
+
+
+@pytest.mark.parametrize("path", sorted(VISIT_PATHS))
+@pytest.mark.parametrize("case", sorted(VISIT_CASES))
+def test_visit_is_recorded_alike_on_every_path(case, path):
+    steps, want_ticks, want_end = VISIT_CASES[case]
+    leaf = VisitProbe(steps)
+    tree = VISIT_PATHS[path](leaf)
+    bb = Blackboard()
+    ticks = []
+    for _ in want_ticks:
+        try:
+            status, trace = tick_root(tree, bb)
+        except ConfigurationError as exc:
+            ticks.append((type(exc).__name__, str(exc)))
+            break
+        ticks.append((status, [e for e in trace.entries if e[0] == "probe"],
+                      trace.diagnostics))
+    assert ticks == want_ticks
+    assert (leaf.status, leaf.resets, leaf.bb.peek(LAST_FAILURE_REASON)) == want_end

@@ -3,8 +3,9 @@
 Shapes cover all four composite kinds nested up to three levels with up to
 four leaves. Single-leaf shapes get every schedule of length six; larger
 shapes get seeded random schedules. Both implementations tick the same
-shape/schedule pair and must agree on the root status at every tick and on
-the per-leaf tick counts afterwards.
+shape/schedule pair and must agree on the root status and the pre-order
+(name, status) trace at every tick, and on the per-leaf tick counts
+afterwards.
 """
 
 import functools
@@ -75,11 +76,16 @@ def run_case(shape, schedules):
     engine = build_engine_tree(shape, schedules)
     bb = Blackboard()
     for t in range(TICKS):
-        status, _ = tick_root(engine, bb)
+        status, trace = tick_root(engine, bb)
         ref_status = ref.root_tick()
         if LETTER_BY_STATUS[status] != ref_status:
             pytest.fail(
                 f"tick {t}: engine={LETTER_BY_STATUS[status]} ref={ref_status} "
+                f"shape={shape!r} schedules={schedules!r}")
+        entries = [(name, LETTER_BY_STATUS[s]) for name, s in trace.entries]
+        if entries != ref.trace:
+            pytest.fail(
+                f"tick {t}: trace engine={entries} ref={ref.trace} "
                 f"shape={shape!r} schedules={schedules!r}")
     leaves = [n for n in iter_nodes(engine) if isinstance(n, ScriptedLeaf)]
     engine_counts = [leaf.ticks for leaf in leaves]

@@ -447,6 +447,17 @@ class TestDeviceInstance:
                                              f"string, got {device_id!r}$"):
             DeviceInstance(device_id)
 
+    @pytest.mark.parametrize("label,value,kind", [
+        ("stiffness", True, "a number"), ("stiffness", "a", "a number"),
+        ("handle_angle", None, "a number"), ("symmetry_order", 2.5, "an int"),
+        ("symmetry_order", True, "an int"), ("dynamics_enabled", 1, "a bool")])
+    def test_field_types_checked(self, label, value, kind):
+        with pytest.raises(TypeError, match=f"^d: {label} must be {kind}, got "):
+            DeviceInstance("d", **{label: value})
+
+    def test_int_accepted_for_float_field(self):
+        assert DeviceInstance("d", stiffness=1, joint_limit=3).stiffness == 1
+
     def test_defaults_allow_unbounded_twisting(self):
         device = DeviceInstance("d")
         assert math.isinf(device.joint_limit)

@@ -1019,6 +1019,16 @@ class TestStrategySpec:
         with pytest.raises(ValueError, match=label):
             dataclasses.replace(LOW, **{label: value})
 
+    @pytest.mark.parametrize("label,value", [
+        ("ft_limit", True), ("p_segment_failure", True),
+        ("p_segment_failure", "x"), ("twist_rate", None), ("t_grasp", [4.0])])
+    def test_field_types_checked(self, label, value):
+        with pytest.raises(TypeError, match=f"^low_torque: {label} must be a number"):
+            dataclasses.replace(LOW, **{label: value})
+
+    def test_int_accepted_for_float_field(self):
+        assert dataclasses.replace(LOW, t_approach=5, p_segment_failure=0).t_approach == 5
+
     def test_window_width_and_durations(self):
         s = spec("s", 1.0)
         assert s.window_width == math.pi

@@ -1,4 +1,8 @@
+import math
+from xml.sax.saxutils import quoteattr
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adaptbt.core import (
     Blackboard,
@@ -18,6 +22,7 @@ from adaptbt.treedef import (
     instantiate,
     parse_binding,
     parse_tree_definition,
+    quote_attribute,
     serialize,
     structurally_equal,
     validate_switch_coverage,
@@ -225,6 +230,60 @@ SWITCH_DOC = doc(
     '<Case value="no_strategies"><AlwaysSuccess/></Case>'
     '</SwitchStatement></Tree>',
     extra=' strategy_var="strategy_id"')
+
+
+def exception_typed_literal(text: str):
+    """infer_literal as it was written with int() and float() attempts."""
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    if -math.inf < value < math.inf:
+        return value
+    raise ValueError(f"expected a finite number, got {text!r}")
+
+
+def typed(function, text):
+    try:
+        value = function(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), repr(value)
+
+
+# characters that number spellings are made of, and near misses
+NUMBER_CHARS = st.sampled_from(list("0123456789_.eE+- \t\nfinatyINFx")
+                               + ["\u0661", "\u066b", "\u2003", "\xa0", "\x1c"])
+
+
+class TestLiteralTyping:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(NUMBER_CHARS, max_size=10), st.text(max_size=6)))
+    @example("1_000")
+    @example(" 7 ")
+    @example("\u0661")
+    @example("nan")
+    @example("-inf")
+    @example("1e5")
+    @example("-0")
+    @example("1" + "0" * 400)
+    @example("true")
+    @example("True")
+    @example("\x1c5")  # str.isspace, but int() and float() do not strip it
+    def test_infer_literal_keeps_exception_typing(self, text):
+        assert typed(infer_literal, text) == typed(exception_typed_literal, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from("&<>\"'\n\r\t a"), st.characters()),
+                   max_size=12))
+    def test_quote_attribute_is_quoteattr(self, value):
+        assert quote_attribute(value) == quoteattr(value)
 
 
 class TestSwitchCoverage:
