@@ -46,18 +46,18 @@ _FIELD_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an int"),
                 "float": ((int, float), "a number"), "bool": ((bool,), "a bool")}
 
 
-def check_field_types(spec) -> None:
+def check_field_types(instance) -> None:
     """Raise TypeError, naming the field, for a value its annotation refuses.
 
     For the id-keyed dataclasses `StrategySpec` and `DeviceInstance`: a bool
     is not a number, an int field takes no float, a float field takes an int.
     """
-    for field in fields(spec):
-        value = getattr(spec, field.name)
+    for field in fields(instance):
+        value = getattr(instance, field.name)
         types, kind = _FIELD_TYPES[field.type]
         if not isinstance(value, types) or (
                 type(value) is bool and field.type != "bool"):
-            raise TypeError(f"{spec.id}: {field.name} must be {kind}, got {value!r}")
+            raise TypeError(f"{instance.id}: {field.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
