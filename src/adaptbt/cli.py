@@ -16,6 +16,7 @@ import errno
 import json
 import os
 import sys
+from typing import Callable, TextIO
 
 from .bench import (
     BenchError,
@@ -30,12 +31,12 @@ from .bench import (
     summarize,
     trial_rng,
 )
-from .core import BehaviorTreeError, NodeStatus
+from .core import BehaviorTreeError, NodeStatus, TickTrace
 from .sim import DeviceInstance
 from .strategies import DataStore, StrategySpec, open_store, \
     persist as persist_data_store
 from .treedef import InstantiationError, TreeDocument, \
-    parse_tree_definition, validate_switch_coverage
+    parse_tree_definition, validate_switch_coverage, validate_tree_depth
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -132,7 +133,9 @@ def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
             else:
                 devices[device_id] = dataclasses.replace(base, **merged)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"device {device_id!r}: {exc}") from exc
+            # DeviceInstance names its id first; the prefix here names it once
+            message = str(exc).removeprefix(f"{device_id}: ")
+            raise ConfigError(f"device {device_id!r}: {message}") from exc
     return devices
 
 
@@ -150,6 +153,7 @@ def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
     if result.document is not None:
         diagnostics.extend(validate_switch_coverage(
             result.document, {s.id for s in strategies}))
+        diagnostics.extend(validate_tree_depth(result.document))
     for diagnostic in diagnostics:
         print(diagnostic)
     if any(d.severity == "error" for d in diagnostics):
@@ -164,6 +168,34 @@ def check_output_path(path: str) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def trace_writer(out: TextIO) -> Callable[[int, float, NodeStatus, TickTrace],
+                                          None]:
+    """The `on_tick` callback of `tick`: one `name=L ...` line per tick on
+    `out`, then one line per diagnostic of that tick.
+
+    Most ticks visit the same nodes with the same statuses as the tick
+    before, so the text is built only when the entries differ from those
+    of the last tick whose text was built.
+    """
+    write = out.write
+    last_entries = None
+    text = ""
+
+    def write_tick(tick, sim_time, status, trace):
+        nonlocal last_entries, text
+        entries = trace.entries
+        if entries != last_entries:
+            text = " ".join(
+                f"{name}={'R' if s is _RUNNING else 'S' if s is _SUCCESS else 'F' if s is _FAILURE else 'I'}"
+                for name, s in entries)
+            last_entries = entries.copy()
+        write("[%5d t=%7.1fs] %s\n" % (tick, sim_time, text))
+        for message in trace.diagnostics:
+            print(f"[{tick:5d}] diagnostic: {message}", file=out)
+
+    return write_tick
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +281,13 @@ def cmd_tick(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"data store {args.data_store}: {exc}") from exc
 
-    def print_tick(tick, sim_time, status, trace):
-        line = " ".join(
-            f"{name}={'R' if s is _RUNNING else 'S' if s is _SUCCESS else 'F' if s is _FAILURE else 'I'}"
-            for name, s in trace.entries)
-        print(f"[{tick:5d} t={sim_time:7.1f}s] {line}")
-        for message in trace.diagnostics:
-            print(f"[{tick:5d}] diagnostic: {message}")
-
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     try:
         result = run_episode(
             devices[device_id], strategies, store, trial_rng(seed, 0),
             trial, **dataclasses.asdict(settings),
-            document=document, seeds=extra, on_tick=print_tick)
+            document=document, seeds=extra,
+            on_tick=trace_writer(sys.stdout))
     except InstantiationError as exc:
         print(f"cannot instantiate tree: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -63,6 +63,13 @@ STRUCTURAL_TAGS = {"TreeDocument", "Tree", "Leaf", "Port", "Case", "Default"}
 
 REASON_SEPARATOR = ";"
 
+# The deepest element nesting a tree may have, counted from its root node
+# down (Case and Default levels included) and, for the main tree, through
+# its SubTrees. Parsing, building, binding, halting and ticking a tree
+# recurse once or twice per level; this keeps them well inside Python's
+# default limit of 1,000 frames.
+MAX_TREE_DEPTH = 100
+
 
 class InstantiationError(Exception):
     """A parsed document could not be turned into an executable tree."""
@@ -205,11 +212,18 @@ class _TreeBuilder:
         self.root: RawElement | None = None
         self._stack: list[RawElement] = []
         self.diagnostics: list[Diagnostic] = []
+        self.too_deep = False
 
     def start(self, tag: str, attrs: dict[str, str]) -> None:
         el = RawElement(tag, dict(attrs), [],
                         self._parser.CurrentLineNumber,
                         self._parser.CurrentColumnNumber + 1)
+        # below TreeDocument and Tree, a tree's root node is at depth 1
+        if len(self._stack) == MAX_TREE_DEPTH + 2:
+            self.too_deep = True
+            self.diagnostics.append(Diagnostic(
+                ERROR, el.line, el.col, "tree-depth",
+                f"{tag} is nested more than {MAX_TREE_DEPTH} levels deep"))
         if self._stack:
             self._stack[-1].children.append(el)
         else:
@@ -239,6 +253,8 @@ def _read_markup(text: str) -> tuple[RawElement | None, list[Diagnostic]]:
         builder.diagnostics.append(Diagnostic(
             ERROR, exc.lineno, exc.offset + 1, "xml-syntax",
             expat.errors.messages[exc.code]))
+        return None, builder.diagnostics
+    if builder.too_deep:  # the analyzer recurses once or more per level
         return None, builder.diagnostics
     return builder.root, builder.diagnostics
 
@@ -477,21 +493,27 @@ class _Analyzer:
                                f"SubTree references undefined tree {target!r}")
                 else:
                     refs[tree_id].append((target, el))
+        # depth-first with an explicit stack: a chain of SubTrees may be
+        # longer than Python's recursion limit
         state: dict[str, int] = {}
-
-        def visit(tree_id: str) -> None:
-            state[tree_id] = 1
-            for target, el in refs[tree_id]:
-                if state.get(target) == 1:
-                    self.error(el, "subtree-cycle",
-                               f"SubTree reference cycle through {target!r}")
-                elif target not in state:
-                    visit(target)
-            state[tree_id] = 2
-
-        for tree_id in self.trees:
-            if tree_id not in state:
-                visit(tree_id)
+        for start in self.trees:
+            if start in state:
+                continue
+            state[start] = 1
+            stack = [(start, iter(refs[start]))]
+            while stack:
+                tree_id, pending = stack[-1]
+                for target, el in pending:
+                    if state.get(target) == 1:
+                        self.error(el, "subtree-cycle",
+                                   f"SubTree reference cycle through {target!r}")
+                    elif target not in state:
+                        state[target] = 1
+                        stack.append((target, iter(refs[target])))
+                        break
+                else:
+                    state[tree_id] = 2
+                    stack.pop()
 
 
 def _walk(el: RawElement):
@@ -542,6 +564,38 @@ def validate_switch_coverage(doc: TreeDocument,
                     WARNING, el.line, el.col, "switch-coverage",
                     f"case {extra!r} matches no registered strategy id"))
     return out
+
+
+def validate_tree_depth(doc: TreeDocument) -> list[Diagnostic]:
+    """Check the main tree, with every SubTree expanded, against
+    MAX_TREE_DEPTH.
+
+    Each tree's own nesting is bounded by the parser, but a chain of
+    SubTrees can add up past it. The walk is iterative and measures each
+    element once; the SubTree graph of a parsed document is acyclic.
+    """
+    root = doc.trees[doc.main_tree_id]
+    heights: dict[int, int] = {}  # id(element) -> levels from it down
+    stack = [(root, False)]
+    while stack:
+        el, expanded = stack.pop()
+        if id(el) in heights:
+            continue
+        children = ([doc.trees[el.attrs["id"]]] if el.tag == "SubTree"
+                    else el.children)
+        if expanded:
+            heights[id(el)] = 1 + max((heights[id(c)] for c in children),
+                                      default=0)
+        else:
+            stack.append((el, True))
+            stack.extend((c, False) for c in children)
+    height = heights[id(root)]
+    if height <= MAX_TREE_DEPTH:
+        return []
+    return [Diagnostic(
+        ERROR, root.line, root.col, "tree-depth",
+        f"main tree {doc.main_tree_id!r} is {height} levels deep with its "
+        f"SubTrees expanded, more than {MAX_TREE_DEPTH}")]
 
 
 # ---------------------------------------------------------------------------

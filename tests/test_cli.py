@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -16,8 +17,11 @@ from adaptbt.cli import (
     load_config,
     main,
     strategies_from_config,
+    trace_writer,
 )
+from adaptbt.core import NodeStatus, TickTrace
 from adaptbt.strategies import DataStore, load, open_store, persist
+from adaptbt.treedef import MAX_TREE_DEPTH, parse_tree_definition
 
 ALL_IDS = [s.id for s in DEFAULT_STRATEGIES]
 
@@ -499,6 +503,152 @@ class TestTick:
         assert key in err
 
 
+LETTERS = {NodeStatus.RUNNING: "R", NodeStatus.SUCCESS: "S",
+           NodeStatus.FAILURE: "F", NodeStatus.IDLE: "I"}
+
+
+def render_tick(tick, sim_time, trace):
+    """`tick`'s text for one tick, built from nothing but that tick."""
+    names = " ".join(f"{name}={LETTERS[status]}"
+                     for name, status in trace.entries)
+    return (f"[{tick:5d} t={sim_time:7.1f}s] {names}\n"
+            + "".join(f"[{tick:5d}] diagnostic: {message}\n"
+                      for message in trace.diagnostics))
+
+
+def fresh(entries):
+    """`entries` again as new str, tuple and list objects of equal value."""
+    return [("".join(list(name)), status) for name, status in entries]
+
+
+R, S, F, I = (NodeStatus.RUNNING, NodeStatus.SUCCESS, NodeStatus.FAILURE,
+              NodeStatus.IDLE)
+A = [("episode", R), ("approach", S), ("twist", R)]
+B = [("episode", R), ("approach", S), ("twist", S)]
+C = [("episode", F), ("bail", I)]
+
+
+class TestTraceWriter:
+    @pytest.mark.parametrize("steps", [
+        pytest.param([(A, ())] * 4, id="repeated"),
+        pytest.param([(A, ()), (B, ()), (B, ()), (A, ()), (A, ())],
+                     id="last_status_only"),
+        pytest.param([(A, ()), (C, ()), (A, ()), (C, ()), (C, ()), (A, ())],
+                     id="back_to_earlier"),
+        pytest.param([(A, ()), (A, ("x: unbound key",)), (A, ("y", "z")),
+                      (B, ("w",)), (B, ())], id="diagnostics_on_repeat"),
+        pytest.param([([], ()), ([], ()), (A, ()), ([], ())], id="empty"),
+    ])
+    def test_matches_a_per_tick_rendering(self, steps):
+        out = io.StringIO()
+        write_tick = trace_writer(out)
+        expected = ""
+        for tick, (entries, diagnostics) in enumerate(steps, start=1):
+            trace = TickTrace()
+            trace.entries = fresh(entries)  # equal values, distinct objects
+            trace.diagnostics = list(diagnostics)
+            write_tick(tick, tick * 0.1, R, trace)
+            expected += render_tick(tick, tick * 0.1, trace)
+        assert out.getvalue() == expected
+
+    def test_a_list_changed_in_place_is_rendered_anew(self):
+        out = io.StringIO()
+        write_tick = trace_writer(out)
+        trace = TickTrace()
+        trace.entries = list(A)
+        expected = ""
+        for tick, last in enumerate([R, R, S, F, F], start=1):
+            trace.entries[-1] = ("twist", last)
+            write_tick(tick, tick * 0.1, R, trace)
+            expected += render_tick(tick, tick * 0.1, trace)
+        assert out.getvalue() == expected
+
+    def test_tick_with_diagnostics_matches_run_episode(self, tmp_path,
+                                                       capsys):
+        # the first SubTree's ManipulateTarget reads a key nothing writes
+        text = canonical_tree_text(ALL_IDS).replace(
+            'target_angle="{target_angle}"', 'target_angle="{nosuch}"', 1)
+        tree = tmp_path / "nosuch.xml"
+        tree.write_text(text)
+        code = main(["tick", "--tree", str(tree), "--seed", "5"])
+        stdout = capsys.readouterr().out
+
+        rendered = []
+        store = DataStore()
+        result = run_episode(
+            DEFAULT_DEVICES["testA"], list(DEFAULT_STRATEGIES), store,
+            trial_rng(5, 0), 1, math.pi / 2, 5,
+            document=parse_tree_definition(text).document,
+            on_tick=lambda tick, sim_time, status, trace: rendered.append(
+                render_tick(tick, sim_time, trace)))
+        outcome = "SUCCESS" if result.success else "FAILURE"
+        assert code == (0 if result.success else 1)
+        assert "] diagnostic: ManipulateTarget: " in stdout
+        assert stdout == "".join(rendered) + (
+            f"episode: {outcome} in {result.sim_time:.1f} s, "
+            f"attempts {result.attempts_consumed}, records {len(store)}\n")
+
+
+def sequences(count, inner):
+    """`count` nested Sequence elements around `inner`."""
+    return "<Sequence>\n" * count + inner + "\n" + "</Sequence>\n" * count
+
+
+def depth_document(*trees):
+    """A document whose Tree i holds trees[i]; the first is the main tree."""
+    body = "".join(f'  <Tree id="T{i}">\n{tree}  </Tree>\n'
+                   for i, tree in enumerate(trees))
+    return f'<TreeDocument main_tree="T0">\n{body}</TreeDocument>\n'
+
+
+class TestTreeDepth:
+    # each tree within the limit, the main tree expanded through them not
+    CHAIN = depth_document(sequences(60, '<SubTree id="T1"/>'),
+                           sequences(60, "<AlwaysSuccess/>"))
+
+    @pytest.mark.parametrize("text,line", [
+        pytest.param(depth_document(sequences(500, "<AlwaysSuccess/>")),
+                     MAX_TREE_DEPTH + 3, id="500_sequences"),
+        pytest.param(depth_document(sequences(1000, "<AlwaysSuccess/>")),
+                     MAX_TREE_DEPTH + 3, id="1000_sequences"),
+        pytest.param(CHAIN, 3, id="subtree_chain"),
+        # one level per tree, past the recursion limit as a chain
+        pytest.param(depth_document(
+            *(f'<SubTree id="T{i + 1}"/>\n' for i in range(1200)),
+            "<AlwaysSuccess/>\n"), 3, id="1200_subtrees"),
+        pytest.param(depth_document(
+            sequences(MAX_TREE_DEPTH // 2 - 1, '<SubTree id="T1"/>'),
+            sequences(MAX_TREE_DEPTH // 2, "<AlwaysSuccess/>")),
+            3, id="one_past_the_limit"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "tick"])
+    def test_too_deep_exits_two(self, tmp_path, capsys, command, text, line):
+        tree = tmp_path / "deep.xml"
+        tree.write_text(text)
+        assert main([command, "--tree", str(tree)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"error:{line}:")
+        assert ":tree-depth:" in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(depth_document(
+            sequences(MAX_TREE_DEPTH - 1, "<AlwaysSuccess/>")), id="one_tree"),
+        pytest.param(depth_document(
+            sequences(MAX_TREE_DEPTH // 2 - 1, '<SubTree id="T1"/>'),
+            sequences(MAX_TREE_DEPTH // 2 - 1, "<AlwaysSuccess/>")),
+            id="subtree_chain"),
+    ])
+    def test_exactly_at_the_limit_runs(self, tmp_path, capsys, text):
+        tree = tmp_path / "deep.xml"
+        tree.write_text(text)
+        assert main(["validate", "--tree", str(tree)]) == 0
+        assert capsys.readouterr().out == f"{tree}: ok\n"
+        assert main(["tick", "--tree", str(tree)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "episode: SUCCESS in 0.1 s, attempts 1, records 0\n")
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("command,payload,key", [
         ("run", {"margin": math.nan}, "margin"),
@@ -585,6 +735,26 @@ class TestConfigValues:
         assert f": {field} must be " in captured.err
         assert "not supported" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("devices,stderr", [
+        ({"stiff": {"stiffness": True}},
+         "error: device 'stiff': stiffness must be a number, got True\n"),
+        ({"stiff": {"symmetry_order": 0}},
+         "error: device 'stiff': symmetry_order must be >= 1\n"),
+        ({"fresh": {"damping": -1.0}},
+         "error: device 'fresh': damping must be finite and >= 0\n"),
+        ({" ": {"stiffness": -1.0}},
+         "error: device ' ': stiffness must be finite and >= 0\n"),
+        ({"": {}},
+         "error: device '': device id must be a non-empty string, got ''\n"),
+    ])
+    def test_device_error_names_the_id_once(self, tmp_path, capsys, devices,
+                                            stderr):
+        config = write_config(tmp_path, {"devices": devices})
+        code = main(["run", "--experiment", "A", "--behavior", "low",
+                     "--trials", "1", "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == stderr
 
 
 class TestConfigHelpers:
