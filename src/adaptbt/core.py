@@ -160,7 +160,8 @@ class TreeNode:
 
     Those hooks are the only extension points: a composite visits its
     children without calling their execute_tick, so an override of it is
-    not honoured. A node's name is fixed at construction.
+    not honoured, and it reads each child's bound _tick once, at its own
+    first tick. A node's name and children are fixed at construction.
 
     Halting is depth-first: children are halted before the node itself, the
     on-halt hook fires exactly once and only for nodes that were Running,
@@ -307,6 +308,13 @@ class _Composite(TreeNode):
     exhausted: NodeStatus
     reactive: bool
 
+    # (per child (node, name, Running entry, bound _tick), child count,
+    # stops_on, exhausted, reactive), built at the first tick: children are
+    # fixed at construction. This loop serves every composite and child
+    # class, and CPython caches one class per attribute load, so loads of
+    # those attributes here would stay unspecialized; tuple items do not.
+    _plan = None
+
     def __init__(self, name: str | None = None,
                  children: SequenceT[TreeNode] | None = None):
         super().__init__(name, children)
@@ -314,35 +322,44 @@ class _Composite(TreeNode):
             raise ConfigurationError(f"{self.name}: composite requires at least one child")
         self._cursor = 0
 
+    def _build_plan(self) -> tuple:
+        visits = tuple((child, child.name, child._entered, child._tick)
+                       for child in self.children)
+        self._plan = (visits, len(visits), self.stops_on, self.exhausted,
+                      self.reactive)
+        return self._plan
+
     def _tick(self, trace: TickTrace) -> NodeStatus:
         # Each child's visit is execute_tick's, inlined: one Python call
         # per visit instead of two on the engine's busiest path.
-        children = self.children
+        plan = self._plan
+        if plan is None:
+            plan = self._build_plan()
+        visits, count, stops_on, exhausted, reactive = plan
         entries = trace.entries
-        stops_on = self.stops_on
-        for index in range(0 if self.reactive else self._cursor, len(children)):
-            child = children[index]
+        for index in range(0 if reactive else self._cursor, count):
+            child, name, entered, tick = visits[index]
             slot = len(entries)
-            entries.append(child._entered)
+            entries.append(entered)
             try:
-                status = child._tick(trace)
+                status = tick(trace)
             except UnboundKeyError as exc:
                 status = child._unbound(trace, exc)
             if status is not _RUNNING:
                 if status is not _SUCCESS and status is not _FAILURE:
                     raise child._invalid(status)
-                entries[slot] = (child.name, status)
+                entries[slot] = (name, status)
             child.status = status
             if status is _RUNNING or status is stops_on:
-                if self.reactive:
-                    for later in children[index + 1:]:
+                if reactive:
+                    for later in self.children[index + 1:]:
                         if later.status is not _IDLE:
                             later.halt()
                 else:
                     self._cursor = index if status is _RUNNING else 0
                 return status
         self._cursor = 0
-        return self.exhausted
+        return exhausted
 
     def _reset(self) -> None:
         self._cursor = 0

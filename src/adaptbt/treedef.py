@@ -698,20 +698,28 @@ class LeafRegistry:
 def instantiate(doc: TreeDocument, registry: LeafRegistry,
                 blackboard: Blackboard) -> TreeNode:
     """Build the executable main tree and bind it to the blackboard."""
-    tree = _build_node(doc.trees[doc.main_tree_id], doc, registry)
+    tree = _build_node(doc.trees[doc.main_tree_id], doc, registry, 1)
     tree.bind(blackboard)
     return tree
 
 
 def _build_node(el: RawElement, doc: TreeDocument,
-                registry: LeafRegistry) -> TreeNode:
+                registry: LeafRegistry, depth: int) -> TreeNode:
+    # `depth` skips Case and Default levels, so it never exceeds the height
+    # validate_tree_depth measures: what that accepts builds here, and a
+    # document nobody validated stops here, not in a RecursionError.
     tag = el.tag
+    if depth > MAX_TREE_DEPTH:
+        raise InstantiationError(
+            f"line {el.line}: tree-depth: {tag} is more than {MAX_TREE_DEPTH} "
+            f"levels deep with its SubTrees expanded")
     name = el.attrs.get("name", tag)
     if tag in COMPOSITE_KINDS:
-        children = [_build_node(c, doc, registry) for c in el.children]
+        children = [_build_node(c, doc, registry, depth + 1) for c in el.children]
         return COMPOSITE_KINDS[tag](name, children)
     if tag == "ForceFailure":
-        return ForceFailure(_build_node(el.children[0], doc, registry), name=name)
+        return ForceFailure(_build_node(el.children[0], doc, registry, depth + 1),
+                            name=name)
     if tag == "RetryUntilSuccessful":
         num_attempts = _port_binding(el, "num_attempts", "int")
         raw_reasons = el.attrs.get("exempt_reasons", "")
@@ -719,7 +727,7 @@ def _build_node(el: RawElement, doc: TreeDocument,
             raise InstantiationError(
                 f"{name}: exempt_reasons must be a constant list")
         return RetryUntilSuccessful(
-            _build_node(el.children[0], doc, registry),
+            _build_node(el.children[0], doc, registry, depth + 1),
             num_attempts=num_attempts,
             exempt_reasons=[r for r in raw_reasons.split(REASON_SEPARATOR) if r],
             name=name)
@@ -728,7 +736,7 @@ def _build_node(el: RawElement, doc: TreeDocument,
         cases = []
         default = None
         for child in el.children:
-            built = _build_node(child.children[0], doc, registry)
+            built = _build_node(child.children[0], doc, registry, depth + 1)
             if child.tag == "Case":
                 cases.append((child.attrs["value"], built))
             else:
@@ -750,7 +758,7 @@ def _build_node(el: RawElement, doc: TreeDocument,
                 except ValueError as exc:
                     raise InstantiationError(
                         f"line {el.line}: SubTree seed {attr!r}: {exc}") from None
-        inner = _build_node(doc.trees[target], doc, registry)
+        inner = _build_node(doc.trees[target], doc, registry, depth + 1)
         scope_name = el.attrs.get("name", target)
         return SubTreeScope(inner, remaps=remaps, seeds=seeds, name=scope_name)
     if tag in BUILTIN_LEAF_KINDS:

@@ -26,8 +26,8 @@ from adaptbt.core import Blackboard, Condition, NO_STRATEGIES, \
     StatefulAction, iter_nodes, tick_root
 from adaptbt.sim import World
 from adaptbt.strategies import DataStore, EXEMPT_REASONS, GENUINE
-from adaptbt.treedef import instantiate, parse_tree_definition, \
-    validate_switch_coverage
+from adaptbt.treedef import InstantiationError, instantiate, \
+    parse_tree_definition, validate_switch_coverage
 
 ALL_IDS = [s.id for s in DEFAULT_STRATEGIES]
 
@@ -210,6 +210,21 @@ class TestEpisodes:
             run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES, store,
                         trial_rng(SEED, 0), trial=1, target_angle=7.0,
                         num_attempts=5, max_ticks=50)
+
+    def test_too_deep_document_is_refused_before_the_first_tick(self):
+        # 1,200 one-level trees, each a SubTree of the next: every tree
+        # parses, the chain is far past the depth limit
+        trees = "".join(f'<Tree id="T{i}"><SubTree id="T{i + 1}"/></Tree>'
+                        for i in range(1200))
+        document = parse_tree_definition(
+            f'<TreeDocument main_tree="T0">{trees}'
+            '<Tree id="T1200"><AlwaysSuccess/></Tree></TreeDocument>').document
+        store = DataStore()
+        with pytest.raises(InstantiationError, match="tree-depth"):
+            run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES, store,
+                        trial_rng(SEED, 0), trial=1, target_angle=7.0,
+                        num_attempts=5, document=document)
+        assert len(store) == 0
 
     def test_attempt_accounting_invariant(self):
         # consumed attempts = genuine failures + 1, capped at the budget

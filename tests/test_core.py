@@ -513,6 +513,101 @@ class TestEngineContract:
         assert trace.diagnostics == ["reader: unbound blackboard key 'missing'"]
 
 
+# (kind, passes): the terminal status on which the kind ticks its next child
+MIXED_KINDS = [(Sequence, S), (Fallback, F), (ReactiveSequence, S),
+               (ReactiveFallback, F)]
+
+
+def mixed_composite(kind, passes):
+    """One child of each node class, then AlwaysFailure. Each earlier child
+    returns `passes`, after the action's Running first tick."""
+    other = F if passes is S else S
+    pass_leaf = AlwaysSuccess if passes is S else AlwaysFailure
+    other_leaf = AlwaysSuccess if other is S else AlwaysFailure
+    nested_kind = Fallback if passes is S else Sequence
+    action = CountingAction("RS" if passes is S else "RF", name="action")
+    return action, kind("outer", [
+        Condition("cond", predicate=lambda node: passes is S),
+        action,
+        SubTreeScope(pass_leaf("inner"), name="scope"),
+        nested_kind("nested", [other_leaf("n0"), pass_leaf("n1")]),
+        AlwaysFailure("last"),
+    ])
+
+
+def statuses(tree):
+    return {node.name: node.status for node in iter_nodes(tree)}
+
+
+@pytest.mark.parametrize("kind,passes", MIXED_KINDS)
+def test_composite_of_mixed_node_classes(kind, passes):
+    other = F if passes is S else S
+    action, tree = mixed_composite(kind, passes)
+    bb = Blackboard()
+    idle = {name: I for name in statuses(tree)}
+    started = [("outer", R), ("cond", passes), ("action", R)]
+
+    status, trace = tick_root(tree, bb)
+    assert (status, trace.entries) == (R, started)
+    assert statuses(tree) == {**idle, "outer": R, "cond": passes, "action": R}
+
+    tree.halt()
+    assert action.halts == 1
+    assert statuses(tree) == idle
+
+    status, trace = tick_root(tree, bb)
+    assert (status, trace.entries) == (R, started)
+    assert action.starts == 2
+
+    # a memory composite resumes at the action, a reactive one re-ticks cond
+    resumed = [("cond", passes)] if kind.reactive else []
+    status, trace = tick_root(tree, bb)
+    assert (status, trace.entries) == (F, [
+        ("outer", F), *resumed, ("action", passes), ("scope", passes),
+        ("inner", passes), ("nested", passes), ("n0", other), ("n1", passes),
+        ("last", F)])
+    done = {**{name: passes for name in idle}, "outer": F, "n0": other,
+            "last": F}
+    assert statuses(tree) == done
+
+    # the next execution: only a reactive composite halts the later
+    # children, which still hold the last execution's statuses
+    status, trace = tick_root(tree, bb)
+    assert (status, trace.entries) == (R, started)
+    later = idle if kind.reactive else done
+    assert statuses(tree) == {**later, "outer": R, "cond": passes, "action": R}
+    assert (action.starts, action.runs, action.halts) == (3, 1, 1)
+
+
+@pytest.mark.parametrize("kind,passes", MIXED_KINDS)
+def test_composite_halted_and_reset_before_its_first_tick(kind, passes):
+    action, tree = mixed_composite(kind, passes)
+    tree.halt()
+    assert action.halts == 0
+    status, trace = tick_root(tree, Blackboard())
+    assert (status, trace.entries) == (
+        R, [("outer", R), ("cond", passes), ("action", R)])
+
+
+class FailingSuccess(AlwaysSuccess):
+    """Its own _tick replaces the one it inherits."""
+
+    def _tick(self, trace):
+        return F
+
+
+@pytest.mark.parametrize("kind,want", [
+    (Sequence, (F, [("outer", F), ("odd", F)])),
+    (Fallback, (S, [("outer", S), ("odd", F), ("plain", S)])),
+    (ReactiveSequence, (F, [("outer", F), ("odd", F)])),
+    (ReactiveFallback, (S, [("outer", S), ("odd", F), ("plain", S)])),
+])
+def test_composite_calls_a_subclass_own_tick(kind, want):
+    tree = kind("outer", [FailingSuccess("odd"), AlwaysSuccess("plain")])
+    status, trace = tick_root(tree, Blackboard())
+    assert (status, trace.entries) == want
+
+
 class VisitProbe(TreeNode):
     """Leaf that plays one scripted step per tick and counts its resets."""
 

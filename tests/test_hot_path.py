@@ -67,3 +67,36 @@ def test_port_access_calls_no_blackboard_method(method):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in blackboard_methods]
     assert calls == []
+
+
+def attribute_loads(function: ast.AST, owner: str) -> list[ast.Attribute]:
+    return [node for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == owner]
+
+
+def test_composite_loop_reads_its_prebuilt_tuple():
+    # The loop serves every composite and child class, and CPython caches
+    # one class per attribute load, so an attribute read here stays
+    # unspecialized: the kind's fields and each child's name, entry and
+    # _tick come from the tuple built at the first tick.
+    tree = ast.parse((PACKAGE / "core.py").read_text(), filename="core.py")
+    composite = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "_Composite")
+    function = next(node for node in composite.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_tick")
+    reactive_branch = next(
+        node for node in ast.walk(function)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+        and node.test.id == "reactive")
+    halting = {id(node) for statement in reactive_branch.body
+               for node in ast.walk(statement)}
+    own = [f"self.{node.attr} (line {node.lineno})"
+           for node in attribute_loads(function, "self")
+           if node.attr not in {"_plan", "_build_plan", "_cursor"}
+           and not (node.attr == "children" and id(node) in halting)]
+    of_child = [f"child.{node.attr} (line {node.lineno})"
+                for node in attribute_loads(function, "child")
+                if node.attr not in {"_unbound", "_invalid"}]
+    assert own == []
+    assert of_child == []

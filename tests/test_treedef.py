@@ -13,6 +13,7 @@ from adaptbt.core import (
     tick_root,
 )
 from adaptbt.treedef import (
+    MAX_TREE_DEPTH,
     Diagnostic,
     InstantiationError,
     LeafRegistry,
@@ -26,6 +27,7 @@ from adaptbt.treedef import (
     serialize,
     structurally_equal,
     validate_switch_coverage,
+    validate_tree_depth,
 )
 
 S = NodeStatus.SUCCESS
@@ -35,6 +37,15 @@ def doc(body, main="Main", extra=""):
     return (f'<TreeDocument main_tree="{main}"{extra}>\n'
             f'{body}\n'
             f'</TreeDocument>\n')
+
+
+def subtree_chain(links):
+    """`links` one-level trees, each holding a SubTree of the next, then a
+    leaf: the main tree is links + 1 levels deep with its SubTrees expanded."""
+    trees = [f'<Tree id="T{i}"><SubTree id="T{i + 1}"/></Tree>'
+             for i in range(links)]
+    trees.append(f'<Tree id="T{links}"><AlwaysSuccess/></Tree>')
+    return doc("\n".join(trees), main="T0")
 
 
 def parse_ok(text):
@@ -463,4 +474,26 @@ class TestInstantiation:
         document.trees["Main"] = el
         el.children.append(RawElement("AlwaysSuccess", {}))
         with pytest.raises(InstantiationError):
+            instantiate(document, LeafRegistry(), Blackboard())
+
+    def test_chain_at_the_limit_builds_and_ticks(self):
+        document = parse_ok(subtree_chain(MAX_TREE_DEPTH - 1))
+        assert validate_tree_depth(document) == []
+        bb = Blackboard()
+        tree = instantiate(document, LeafRegistry(), bb)
+        status, trace = tick_root(tree, bb)
+        assert status is S
+        assert trace.names() == [f"T{i}" for i in range(1, MAX_TREE_DEPTH)] \
+            + ["AlwaysSuccess"]
+
+    # parsing measures each tree alone; only validate_tree_depth and
+    # instantiate see the chain expanded. 1,200 links overflowed the
+    # recursion limit before instantiate counted its depth.
+    @pytest.mark.parametrize("links,tag", [
+        (MAX_TREE_DEPTH, "AlwaysSuccess"), (1200, "SubTree")])
+    def test_chain_past_the_limit_is_refused(self, links, tag):
+        document = parse_ok(subtree_chain(links))
+        assert [d.rule for d in validate_tree_depth(document)] == ["tree-depth"]
+        with pytest.raises(InstantiationError, match=(
+                f"tree-depth: {tag} is more than {MAX_TREE_DEPTH} levels deep")):
             instantiate(document, LeafRegistry(), Blackboard())
