@@ -16,7 +16,6 @@ import os
 import stat
 import zlib
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import NamedTuple
 
 from .core import (
@@ -104,10 +103,6 @@ class StrategySpec:
         for label in ("t_approach", "t_grasp", "t_retract"):
             if getattr(self, label) < 0:
                 raise ValueError(f"{self.id}: {label} must be >= 0")
-
-    @property
-    def window_width(self) -> float:
-        return self.angle_max - self.angle_min
 
     def segment_duration(self, kind: str) -> float:
         return {"approach": self.t_approach, "grasp": self.t_grasp,
@@ -318,109 +313,12 @@ def open_store(path, device_id: str, trial: int) -> DataStore:
     return load(path)
 
 
-# The file header, and what a row may hold for the column reader: printable
-# ASCII and the newline, but '"', which opens a csv quoted field, and space
-# and '_', which int and float accept (" 1", "1_0") but persist never writes.
-_HEADER = (",".join(STORE_FIELDS) + "\n").encode()
-_COLUMN_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b'"_') + b"\n"
-# rows are converted a chunk of about this many bytes at a time, which bounds
-# the memory the column lists take beside the file's bytes
-_CHUNK_BYTES = 16384
-
-
 def load(path) -> DataStore:
-    """Read a persisted store; every rejected row is named by its line.
-
-    A file as `persist` writes it for plain ids is read a chunk of rows at a
-    time, one column at a time; any other file, or one with a row to reject,
-    is read row by row to the same result.
-    """
+    """Read a persisted store with csv, row by row; a rejected row is named
+    by the line it starts on."""
     with open(path, "rb") as handle:
         data = handle.read()
         st = os.fstat(handle.fileno())
-    store = _load_columns(data, path, st)
-    if store is None:
-        store = _load_rows(data, path, st)
-    return store
-
-
-def _appendable(store: DataStore, path, st: os.stat_result, data: bytes) -> None:
-    """Let `persist` append to the regular file the store was read from."""
-    if stat.S_ISREG(st.st_mode):
-        ending = "\r\n" if data.endswith(b"\r\n") else "\n"
-        store._file = (os.fsdecode(path), len(store.records), _file_state(st), ending)
-
-
-def _load_columns(data: bytes, path, st: os.stat_result) -> DataStore | None:
-    """The store in `data` when every row is one line of six plain fields and
-    loads as `_load_rows` would load it, else None."""
-    start = len(_HEADER)
-    if not data.startswith(_HEADER) or not data.endswith(b"\n"):
-        return None
-    store = DataStore()
-    records, index, keys = store.records, store._index, store._keys
-    limit = csv.field_size_limit()
-    while start < len(data):
-        # find returns -1 when the rest is under a chunk, and -1 + 1 is falsy
-        end = data.find(b"\n", start + _CHUNK_BYTES - 1) + 1 or len(data)
-        columns = _chunk_columns(data[start:end], limit)
-        start = end
-        if columns is None:
-            return None
-        ids, trials, attempts, sim_times, torques, forces = columns
-        chunk_keys = set(zip(ids, trials, attempts, sim_times))
-        if len(chunk_keys) != len(ids) or not keys.isdisjoint(chunk_keys):
-            return None
-        keys |= chunk_keys
-        records += map(_tuple_new, repeat(FTRecord), zip(*columns))
-        for device_id, torque in zip(ids, torques):  # DataStore.add's rule
-            if torque > index.get(device_id, 0.0):
-                index[device_id] = torque
-            elif device_id not in index:
-                index[device_id] = 0.0
-    _appendable(store, path, st, data)
-    return store
-
-
-def _chunk_columns(chunk: bytes, limit: int) -> tuple | None:
-    """The six converted columns of a chunk of whole lines, or None unless
-    each line is a row FTRecord accepts, with plain fields of at most `limit`
-    characters.
-
-    Without quotes a csv row is a line and its fields are `line.split(",")`,
-    so the chunk is split whole and each column converted as a whole.
-    """
-    if chunk.translate(None, _COLUMN_BYTES):
-        return None
-    lines = chunk.decode("ascii").split("\n")
-    lines.pop()  # the empty string after the chunk's last newline
-    # zip and slicing would silently truncate a row with a field too many
-    # (a blank line has none), and split does not enforce the csv field
-    # size limit
-    if set(map(str.count, lines, repeat(","))) != {5} or max(map(len, lines)) > limit:
-        return None
-    fields = ",".join(lines).split(",")
-    ids = fields[0::6]
-    if "" in ids:
-        return None
-    try:
-        trials = list(map(int, fields[1::6]))
-        attempts = list(map(int, fields[2::6]))
-        sim_times = list(map(float, fields[3::6]))
-        torques = list(map(float, fields[4::6]))
-        forces = list(map(float, fields[5::6]))
-    except ValueError:
-        return None
-    isfinite = math.isfinite
-    if not (all(map(isfinite, sim_times)) and all(map(isfinite, torques))
-            and all(map(isfinite, forces)) and min(torques) >= 0.0):
-        return None
-    return ids, trials, attempts, sim_times, torques, forces
-
-
-def _load_rows(data: bytes, path, st: os.stat_result) -> DataStore:
-    """The store in `data` read with csv, row by row; a rejected row is named
-    by the line it starts on."""
     store = DataStore()
     add = store.add
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
@@ -455,10 +353,12 @@ def _load_rows(data: bytes, path, st: os.stat_result) -> DataStore:
                 raise ValueError(f"line {lineno}: {exc}") from None
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    # rows can be appended only after a newline that closes the last row;
-    # a quoted field left open at the end of the file swallows that newline
-    if data.endswith(b"\n") and not (row and row[-1].endswith("\n")):
-        _appendable(store, path, st, data)
+    # persist may append to a regular file only after a newline that closes
+    # the last row; a quoted field left open at the end swallows that newline
+    if stat.S_ISREG(st.st_mode) and data.endswith(b"\n") \
+            and not (row and row[-1].endswith("\n")):
+        ending = "\r\n" if data.endswith(b"\r\n") else "\n"
+        store._file = (os.fsdecode(path), len(store.records), _file_state(st), ending)
     return store
 
 

@@ -365,7 +365,14 @@ class _Analyzer:
         elif tag == "RetryUntilSuccessful":
             self._check_attrs(el, allowed={"num_attempts", "exempt_reasons"},
                               required={"num_attempts"})
-            self._port_value(el, "num_attempts", "int")
+            if self._port_value(el, "num_attempts", "int") is None:
+                try:
+                    num_attempts = int(el.attrs["num_attempts"])
+                except (KeyError, ValueError):  # missing or reported above
+                    num_attempts = 1
+                if num_attempts < 1:
+                    self.error(el, "port-value", f"port 'num_attempts' must be "
+                                                 f">= 1, got {num_attempts}")
             if self._port_value(el, "exempt_reasons", "str") is not None:
                 self.error(el, "port-value",
                            "port 'exempt_reasons' expects a literal list, "

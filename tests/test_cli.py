@@ -212,6 +212,24 @@ class TestValidate:
         assert captured.out.startswith(f"error:{line}:")
         assert "episode:" not in captured.out
 
+    @pytest.mark.parametrize("num_attempts", ["0", "-3"])
+    def test_num_attempts_below_one_fails_validate_and_tick(self, tmp_path, capsys,
+                                                             num_attempts):
+        text = canonical_tree_text(ALL_IDS)
+        binding = 'num_attempts="{num_attempts}"'
+        line = text[:text.index(binding)].count("\n") + 1
+        tree = tmp_path / "no_attempts.xml"
+        tree.write_text(text.replace(binding, f'num_attempts="{num_attempts}"'))
+        assert main(["validate", "--tree", str(tree)]) == 2
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(f"error:{line}:")
+        assert f":port-value:port 'num_attempts' must be >= 1, got {num_attempts}" \
+            in stdout
+        assert main(["tick", "--tree", str(tree), "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert "episode:" not in captured.out
+
 
 class TestTick:
     def test_episode_dump_and_store(self, canonical_file, tmp_path, capsys):
@@ -472,16 +490,18 @@ class TestTick:
         assert "episode:" not in stdout
 
     def test_engine_error_exits_two(self, tmp_path, capsys):
+        # a literal below 1 fails validate; a binding is read at the first tick
         tree = tmp_path / "zero.xml"
         tree.write_text(
             '<TreeDocument main_tree="Main">\n'
             '  <Tree id="Main">\n'
-            '    <RetryUntilSuccessful num_attempts="0">\n'
+            '    <RetryUntilSuccessful num_attempts="{n}">\n'
             '      <AlwaysFailure/>\n'
             '    </RetryUntilSuccessful>\n'
             '  </Tree>\n'
             '</TreeDocument>\n')
-        assert main(["tick", "--tree", str(tree)]) == 2
+        config = write_config(tmp_path, {"blackboard": {"n": 0}})
+        assert main(["tick", "--tree", str(tree), "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "num_attempts" in err

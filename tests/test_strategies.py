@@ -264,11 +264,14 @@ class TestDataStore:
 
     def test_truncated_row_names_line(self, tmp_path):
         path = tmp_path / "store.csv"
-        path.write_text("device_id,trial,attempt,sim_time,torque,force\n"
-                        "v,1,1,0.1,0.3,0.0\n"
-                        "v,1,1,0.2\n")
-        with pytest.raises(ValueError, match="line 3"):
-            load(path)
+        # a row a field short, and one a field over
+        for row, count in (("v,1,1,0.2", 4), ("v,1,1,0.2,0.3,0.0,9", 7)):
+            path.write_text("device_id,trial,attempt,sim_time,torque,force\n"
+                            "v,1,1,0.1,0.3,0.0\n"
+                            f"{row}\n")
+            with pytest.raises(ValueError,
+                               match=f"^line 3: expected 6 fields, got {count}$"):
+                load(path)
 
     def test_bad_field_names_line(self, tmp_path):
         path = tmp_path / "store.csv"
@@ -375,6 +378,22 @@ class TestDataStore:
                         "v,1,1,0.1,0.3,0.0\n"
                         "v,1,1,0.1,0.4,0.0\n")
         with pytest.raises(ValueError, match="line 3: duplicate"):
+            load(path)
+
+    def test_device_seen_only_at_negative_zero_reads_positive_zero(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text(HEADER + "z,1,1,0.1,-0.0,0.0\n")
+        assert repr(load(path).max_torque("z")) == "0.0"
+
+    def test_late_duplicate_names_its_line(self, tmp_path):
+        store = DataStore()
+        for i in range(1000):
+            store.record("v", 1, i + 1, 0.1, 0.3)
+        path = tmp_path / "store.csv"
+        persist(store, path)
+        with open(path, "a") as handle:
+            handle.write("v,1,1,0.1,0.4,0.0\n")
+        with pytest.raises(ValueError, match="^line 1002: duplicate"):
             load(path)
 
     def test_persist_golden_bytes(self, tmp_path):
@@ -552,30 +571,6 @@ class TestStoreAppend:
         assert path.read_bytes() == fresh_bytes(store, tmp_path)
 
 
-def row_reader(path):
-    """The store the csv row reader reads from `path`, or its error text."""
-    try:
-        store = strategies._load_rows(path.read_bytes(), path, os.stat(path))
-    except ValueError as exc:
-        return str(exc)
-    return outcome(store)
-
-
-def column_or_row_load(path):
-    try:
-        store = load(path)
-    except ValueError as exc:
-        return str(exc)
-    return outcome(store)
-
-
-def outcome(store):
-    # repr tells 1 from 1.0 and 0.0 from -0.0
-    maxima = {d: repr(store.max_torque(d)) for d in store.devices()}
-    return ([type(r) for r in store.records], list(map(repr, store.records)),
-            maxima, store._file)
-
-
 SPECIAL_FLOATS = [0.0, -0.0, 1e-300, 5e300, 0.1 + 0.2, 2.0]
 TORQUES = st.sampled_from(SPECIAL_FLOATS) | st.floats(0.0, 1e6)
 NUMBERS = st.sampled_from(SPECIAL_FLOATS + [-2.5]) | st.floats(
@@ -587,8 +582,7 @@ def store_rows(ids):
                               NUMBERS, TORQUES, NUMBERS), max_size=12)
 
 
-# stores of plain ids, which the column reader reads, and stores whose ids may
-# hold '_', a space, ',' or '"', which it leaves to the row reader
+# stores of plain ids, and stores whose ids may hold '_', a space, ',' or '"'
 STORE_ROWS = store_rows(st.text(alphabet="ab", min_size=1, max_size=3)) \
     | store_rows(st.text(alphabet='ab_ ,"', min_size=1, max_size=3))
 # spellings persist never writes, or writes otherwise ("1" for 1.0)
@@ -621,17 +615,29 @@ def mutate(text, mutation, data):
     return "\n".join(lines) + "\n"
 
 
+# the start of load's error for a spelling each number field rejects, after
+# "line 3: "; "1_0" is rejected everywhere and "-1" only as a torque
+SPELLING_ERRORS = {
+    1: "invalid literal for int", 2: "invalid literal for int",
+    3: "sim_time must be finite", 4: "torque must be finite and >= 0",
+    5: "force must be finite"}
+# what each spelling a number field accepts reads as
+SPELLING_VALUES = {"-1": -1, "+1": 1, "1": 1}
+
+
 class TestColumnReader:
-    """load reads plain persisted files by column, to the row reader's result."""
+    """load over whole persisted files: what persist writes reads back, and
+    each number spelling loads or is named by its line."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows=STORE_ROWS, copies=st.sampled_from([1, 60]),
-           chunk=st.sampled_from([1, 100, strategies._CHUNK_BYTES]),
-           mutation=st.sampled_from(MUTATIONS), data=st.data())
-    def test_load_agrees_with_row_reader(self, tmp_path_factory, rows, copies,
-                                         chunk, mutation, data):
+           mutation=st.sampled_from(["none", "blank_line", "crlf",
+                                     "no_final_newline"]),
+           data=st.data())
+    def test_persist_load_round_trip(self, tmp_path_factory, rows, copies,
+                                     mutation, data):
         store = DataStore()
-        for k in range(copies):  # 60 copies of 12 rows span several chunks
+        for k in range(copies):
             for device_id, trial, *rest in rows:
                 try:
                     store.record(device_id, trial + 10 * k, *rest)
@@ -641,8 +647,16 @@ class TestColumnReader:
         persist(store, path)
         text = path.read_bytes().decode()
         path.write_bytes(mutate(text, mutation, data).encode())
-        with mock.patch.object(strategies, "_CHUNK_BYTES", chunk):
-            assert column_or_row_load(path) == row_reader(path)
+        loaded = load(path)
+        # repr tells 1 from 1.0 and 0.0 from -0.0
+        assert list(map(repr, loaded.records)) == list(map(repr, store.records))
+        assert all(type(r) is FTRecord for r in loaded.records)
+        assert {d: repr(loaded.max_torque(d)) for d in loaded.devices()} \
+            == {d: repr(store.max_torque(d)) for d in store.devices()}
+        # a file without a final newline is rewritten, not appended to
+        assert loaded._file == (None if mutation == "no_final_newline" else (
+            os.fspath(path), len(store), strategies._file_state(path.stat()),
+            "\r\n" if mutation == "crlf" else "\n"))
 
     @pytest.mark.parametrize("text", NUMBER_TEXTS)
     @pytest.mark.parametrize("field", range(1, 6))
@@ -657,59 +671,17 @@ class TestColumnReader:
         fields[field] = text
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines))
-        assert column_or_row_load(path) == row_reader(path)
-
-    def test_persisted_file_loads_without_add(self, tmp_path):
-        rng = random.Random(99)
-        store = DataStore()
-        for i in range(2000):  # over 16 KB, so several chunks
-            store.record(rng.choice(["normal", "stiff", "testA"]), i // 7 + 1,
-                         i % 7 + 1, 0.1 * i, rng.choice([0.0, -0.0, 2.5, 1e-300]),
-                         rng.uniform(-1.0, 1.0))
-        path = tmp_path / "store.csv"
-        persist(store, path)
-        assert path.stat().st_size > 2 * strategies._CHUNK_BYTES
-
-        def refuse(*args):
-            raise AssertionError("the row reader ran")
-        with mock.patch.object(DataStore, "add", refuse):
-            loaded = load(path)
-        assert loaded.records == store.records
-        assert all(type(r) is FTRecord for r in loaded.records)
-        assert loaded._file[:2] == (os.fspath(path), 2000)
-        for device in store.devices():
-            assert repr(loaded.max_torque(device)) == repr(store.max_torque(device))
-
-    def test_device_seen_only_at_negative_zero_reads_positive_zero(self, tmp_path):
-        path = tmp_path / "store.csv"
-        path.write_text(HEADER + "z,1,1,0.1,-0.0,0.0\n")
-        assert repr(load(path).max_torque("z")) == "0.0"
-
-    def test_space_in_id_reaches_row_reader(self, tmp_path, monkeypatch):
-        calls = []
-        real = strategies._load_rows
-
-        def spy(*args):
-            calls.append(args[1])
-            return real(*args)
-        monkeypatch.setattr(strategies, "_load_rows", spy)
-        store = DataStore()
-        store.record("two words", 1, 1, 0.1, 0.3)
-        path = tmp_path / "store.csv"
-        persist(store, path)
-        assert load(path).records == store.records
-        assert calls == [path]
-
-    def test_duplicate_across_chunks_names_its_line(self, tmp_path):
-        store = DataStore()
-        for i in range(1000):
-            store.record("v", 1, i + 1, 0.1, 0.3)
-        path = tmp_path / "store.csv"
-        persist(store, path)
-        with open(path, "a") as handle:
-            handle.write("v,1,1,0.1,0.4,0.0\n")
-        with pytest.raises(ValueError, match="^line 1002: duplicate"):
-            load(path)
+        if text in SPELLING_VALUES and (field, text) != (4, "-1"):
+            row = list(store.records[1])
+            row[field] = SPELLING_VALUES[text]
+            assert list(map(repr, load(path).records)) \
+                == [repr(store.records[0]), repr(FTRecord(*row))]
+        elif text == "1_0":
+            with pytest.raises(ValueError, match="^line 3: a number field holds"):
+                load(path)
+        else:
+            with pytest.raises(ValueError, match=f"^line 3: {SPELLING_ERRORS[field]}"):
+                load(path)
 
 
 def summary_path(path):
@@ -747,7 +719,7 @@ def full_load(path, device_id, trial):
     return load(path)
 
 
-# ids the column reader takes, and ids csv must quote
+# plain ids, an id with a space, and one csv must quote
 SUMMARY_DEVICES = ["a", "b", "c d", 'e,"f"']
 SUMMARY_TORQUES = st.sampled_from([0.0, -0.0, 1e-300, 0.3, 0.5, 0.1 + 0.2,
                                    2.5, 5e300])
@@ -1031,7 +1003,6 @@ class TestStrategySpec:
 
     def test_window_width_and_durations(self):
         s = spec("s", 1.0)
-        assert s.window_width == math.pi
         assert s.segment_duration("approach") == 8.0
         assert s.segment_duration("grasp") == 4.0
         assert s.segment_duration("retract") == 4.0
