@@ -63,6 +63,13 @@ STRUCTURAL_TAGS = {"TreeDocument", "Tree", "Leaf", "Port", "Case", "Default"}
 
 REASON_SEPARATOR = ";"
 
+_NO_ATTRS, _ID, _VALUE = frozenset(), frozenset({"id"}), frozenset({"value"})
+_MAIN_TREE, _VARIABLE = frozenset({"main_tree"}), frozenset({"variable"})
+_DOCUMENT_ATTRS = _MAIN_TREE | {"strategy_var"}
+_PORT_ATTRS = frozenset({"name", "direction", "type"})
+_NUM_ATTEMPTS = frozenset({"num_attempts"})
+_RETRY_ATTRS = _NUM_ATTEMPTS | {"exempt_reasons"}
+
 # The deepest element nesting a tree may have, counted from its root node
 # down (Case and Default levels included) and, for the main tree, through
 # its SubTrees. Parsing, building, binding, halting and ticking a tree
@@ -89,13 +96,21 @@ class Diagnostic:
 
 @dataclass
 class RawElement:
-    """One parsed element with its source location."""
+    """One parsed element with its source location and resolved record.
+
+    The parser sets `resolved`, all that `instantiate` reads: a declared
+    leaf's ports (each a Key or a typed constant), a RetryUntilSuccessful's
+    (attempts as a Key or an int, exempt reasons), a SubTree's (remaps, typed
+    seeds) and a SwitchStatement's variable Key. Elements are equal apart
+    from source locations and resolved records.
+    """
 
     tag: str
     attrs: dict[str, str]
     children: list["RawElement"] = field(default_factory=list)
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
+    resolved: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -267,6 +282,7 @@ class _Analyzer:
         self.diagnostics: list[Diagnostic] = []
         self.trees: dict[str, RawElement] = {}
         self.declared: dict[str, LeafSpec] = {}
+        self._port_names: dict[str, frozenset[str]] = {}
         self.main_tree_id = ""
         self.strategy_var: str | None = None
 
@@ -286,8 +302,7 @@ class _Analyzer:
             self.error(root, "document-root",
                        f"expected TreeDocument root element, got {root.tag}")
             return
-        self._check_attrs(root, allowed={"main_tree", "strategy_var"},
-                          required={"main_tree"})
+        self._check_attrs(root, allowed=_DOCUMENT_ATTRS, required=_MAIN_TREE)
         self.main_tree_id = root.attrs.get("main_tree", "")
         self.strategy_var = root.attrs.get("strategy_var")
         for child in root.children:
@@ -304,7 +319,7 @@ class _Analyzer:
         self._subtree_references()
 
     def _leaf_declaration(self, el: RawElement) -> None:
-        self._check_attrs(el, allowed={"id"}, required={"id"})
+        self._check_attrs(el, allowed=_ID, required=_ID)
         leaf_id = el.attrs.get("id", "")
         if leaf_id in self.declared or leaf_id in COMPOSITE_KINDS \
                 or leaf_id in BUILTIN_LEAF_KINDS or leaf_id in STRUCTURAL_TAGS:
@@ -315,9 +330,7 @@ class _Analyzer:
             if child.tag != "Port":
                 self.error(child, "leaf-section", f"expected Port, got {child.tag}")
                 continue
-            self._check_attrs(child, allowed={"name", "direction", "type"},
-                              required={"name", "direction", "type"},
-                              name_is_port=True)
+            self._check_attrs(child, allowed=_PORT_ATTRS, required=_PORT_ATTRS)
             direction = child.attrs.get("direction", "")
             type_name = child.attrs.get("type", "")
             if direction not in PORT_DIRECTIONS:
@@ -327,14 +340,19 @@ class _Analyzer:
                 self.error(child, "port-type",
                            f"type must be one of {PORT_TYPES}, got {type_name!r}")
             name = child.attrs.get("name", "")
+            if name == "name":
+                self.error(child, "port-name",
+                           "port 'name' is reserved: it is the node-name attribute")
+                continue
             if any(p.name == name for p in ports):
                 self.error(child, "port-name", f"duplicate port {name!r}")
             ports.append(PortSpec(name, direction, type_name))
         if leaf_id:
             self.declared[leaf_id] = LeafSpec(leaf_id, tuple(ports))
+            self._port_names[leaf_id] = frozenset(p.name for p in ports)
 
     def _tree(self, el: RawElement) -> None:
-        self._check_attrs(el, allowed={"id"}, required={"id"})
+        self._check_attrs(el, allowed=_ID, required=_ID)
         tree_id = el.attrs.get("id", "")
         if tree_id in self.trees:
             self.error(el, "tree-id", f"tree {tree_id!r} is already defined")
@@ -354,74 +372,82 @@ class _Analyzer:
                        f"{tag} is only allowed directly under SwitchStatement")
             return
         if tag in COMPOSITE_KINDS:
-            self._check_attrs(el, allowed=set(), required=set())
+            self._check_attrs(el, allowed=_NO_ATTRS, required=_NO_ATTRS)
             if not el.children:
                 self.error(el, "composite-arity", "composite requires ≥1 child")
             for child in el.children:
                 self._node(child)
         elif tag == "ForceFailure":
-            self._check_attrs(el, allowed=set(), required=set())
+            self._check_attrs(el, allowed=_NO_ATTRS, required=_NO_ATTRS)
             self._decorator_arity(el)
         elif tag == "RetryUntilSuccessful":
-            self._check_attrs(el, allowed={"num_attempts", "exempt_reasons"},
-                              required={"num_attempts"})
-            if self._port_value(el, "num_attempts", "int") is None:
-                try:
-                    num_attempts = int(el.attrs["num_attempts"])
-                except (KeyError, ValueError):  # missing or reported above
-                    num_attempts = 1
-                if num_attempts < 1:
-                    self.error(el, "port-value", f"port 'num_attempts' must be "
-                                                 f">= 1, got {num_attempts}")
-            if self._port_value(el, "exempt_reasons", "str") is not None:
+            self._check_attrs(el, allowed=_RETRY_ATTRS, required=_NUM_ATTEMPTS)
+            num_attempts = self._port_value(el, "num_attempts", "int")
+            if isinstance(num_attempts, int) and num_attempts < 1:
+                self.error(el, "port-value", f"port 'num_attempts' must be "
+                                             f">= 1, got {num_attempts}")
+            reasons = self._port_value(el, "exempt_reasons", "str")
+            if isinstance(reasons, Key):
                 self.error(el, "port-value",
                            "port 'exempt_reasons' expects a literal list, "
                            "not a blackboard binding")
+            el.resolved = (num_attempts, tuple(
+                r for r in (reasons or "").split(REASON_SEPARATOR) if r))
             self._decorator_arity(el)
         elif tag == "SwitchStatement":
             self._switch(el)
         elif tag == "SubTree":
-            self._check_attrs(el, allowed=None, required={"id"})
+            self._check_attrs(el, allowed=None, required=_ID)
+            remaps: dict[str, str] = {}
+            seeds: dict[str, object] = {}
             for attr, value in el.attrs.items():
                 if attr in ("id", "name"):
                     continue
                 rule = "binding-syntax"
                 try:
-                    if parse_binding(value) is None:
+                    key = parse_binding(value)
+                    if key is None:
                         rule = "seed-value"
-                        infer_literal(value)
+                        seeds[attr] = infer_literal(value)
+                    else:
+                        remaps[attr] = key
                 except ValueError as exc:
                     self.error(el, rule, f"{attr}: {exc}")
+            el.resolved = (remaps, seeds)
             if el.children:
                 self.error(el, "leaf-arity", "SubTree takes no children")
         elif tag in BUILTIN_LEAF_KINDS:
-            self._check_attrs(el, allowed=set(), required=set())
+            self._check_attrs(el, allowed=_NO_ATTRS, required=_NO_ATTRS)
             if el.children:
                 self.error(el, "leaf-arity", f"{tag} takes no children")
         elif tag in self.declared:
-            spec = self.declared[tag]
-            allowed = {p.name for p in spec.ports}
-            self._check_attrs(el, allowed=allowed, required=allowed)
-            for port in spec.ports:
+            names = self._port_names[tag]
+            self._check_attrs(el, allowed=names, required=names)
+            ports: dict[str, object] = {}
+            for port in self.declared[tag].ports:
                 if port.name not in el.attrs:
                     continue
-                binding = self._port_value(el, port.name, port.type)
-                if binding is None and port.direction in ("out", "inout"):
+                value = self._port_value(el, port.name, port.type)
+                if not isinstance(value, Key) and port.direction in ("out", "inout"):
                     self.error(el, "output-binding",
                                f"port {port.name!r} is an output and must be "
                                f"bound to a blackboard key")
+                ports[port.name] = value
+            el.resolved = ports
             if el.children:
                 self.error(el, "leaf-arity", f"{tag} takes no children")
         else:
             self.error(el, "unknown-node", f"unknown node kind {tag!r}")
 
     def _switch(self, el: RawElement) -> None:
-        self._check_attrs(el, allowed={"variable"}, required={"variable"})
-        variable = el.attrs.get("variable", "")
+        self._check_attrs(el, allowed=_VARIABLE, required=_VARIABLE)
         try:
-            if parse_binding(variable) is None:
+            key = parse_binding(el.attrs.get("variable", ""))
+            if key is None:
                 self.error(el, "switch-variable",
                            "variable must be a {key} blackboard binding")
+            else:
+                el.resolved = Key(key)
         except ValueError as exc:
             self.error(el, "binding-syntax", f"variable: {exc}")
         seen_values = set()
@@ -430,14 +456,14 @@ class _Analyzer:
             self.error(el, "switch-arity", "SwitchStatement requires ≥1 case")
         for child in el.children:
             if child.tag == "Case":
-                self._check_attrs(child, allowed={"value"}, required={"value"})
+                self._check_attrs(child, allowed=_VALUE, required=_VALUE)
                 value = child.attrs.get("value", "")
                 if value in seen_values:
                     self.error(child, "case-duplicate", f"duplicate case {value!r}")
                 seen_values.add(value)
                 self._decorator_arity(child)
             elif child.tag == "Default":
-                self._check_attrs(child, allowed=set(), required=set())
+                self._check_attrs(child, allowed=_NO_ATTRS, required=_NO_ATTRS)
                 defaults += 1
                 if defaults > 1:
                     self.error(child, "case-duplicate", "multiple Default cases")
@@ -454,8 +480,9 @@ class _Analyzer:
             return
         self._node(el.children[0])
 
-    def _port_value(self, el: RawElement, port: str, type_name: str) -> str | None:
-        """Validate one port attribute; returns the bound key if it is a binding."""
+    def _port_value(self, el: RawElement, port: str, type_name: str):
+        """Validate one port attribute and return its Key binding or typed
+        constant; None when it is absent or invalid."""
         value = el.attrs.get(port)
         if value is None:
             return None
@@ -465,23 +492,23 @@ class _Analyzer:
             self.error(el, "binding-syntax", f"{port}: {exc}")
             return None
         if key is not None:
-            return key
+            return Key(key)
         try:
-            convert_literal(value, type_name)
+            return convert_literal(value, type_name)
         except ValueError:
             self.error(el, "port-value",
                        f"port {port!r} expects {type_name}, got {value!r}")
         return None
 
-    def _check_attrs(self, el: RawElement, allowed: set[str] | None,
-                     required: set[str], name_is_port: bool = False) -> None:
-        """allowed=None admits arbitrary attributes (SubTree remaps/seeds)."""
-        for attr in el.attrs:
-            if attr == "name" and not name_is_port:
-                continue
-            if allowed is not None and attr not in allowed:
-                self.error(el, "unknown-port",
-                           f"{el.tag} has no port {attr!r}")
+    def _check_attrs(self, el: RawElement, allowed: frozenset[str] | None,
+                     required: frozenset[str]) -> None:
+        """Any element may carry `name`; allowed=None admits arbitrary
+        attributes (SubTree remaps/seeds)."""
+        if allowed is not None:
+            for attr in el.attrs:
+                if attr not in allowed and attr != "name":
+                    self.error(el, "unknown-port",
+                               f"{el.tag} has no port {attr!r}")
         for attr in required:
             if attr not in el.attrs:
                 self.error(el, "missing-port",
@@ -524,9 +551,12 @@ class _Analyzer:
 
 
 def _walk(el: RawElement):
-    yield el
-    for child in el.children:
-        yield from _walk(child)
+    """Depth-first pre-order walk of an element tree."""
+    stack = [el]
+    while stack:
+        el = stack.pop()
+        yield el
+        stack.extend(reversed(el.children))
 
 
 def parse_tree_definition(text: str) -> ParseResult:
@@ -671,7 +701,7 @@ def _serialize_node(el: RawElement, lines: list[str], depth: int) -> None:
 
 
 def structurally_equal(a: TreeDocument, b: TreeDocument) -> bool:
-    """Equal apart from source locations."""
+    """Equal apart from source locations and resolved records."""
     return a == b
 
 
@@ -704,7 +734,11 @@ class LeafRegistry:
 
 def instantiate(doc: TreeDocument, registry: LeafRegistry,
                 blackboard: Blackboard) -> TreeNode:
-    """Build the executable main tree and bind it to the blackboard."""
+    """Build the executable main tree and bind it to the blackboard.
+
+    It builds from what `parse_tree_definition` resolved, not from the
+    attribute text: to change a parsed document, edit the text and parse it.
+    """
     tree = _build_node(doc.trees[doc.main_tree_id], doc, registry, 1)
     tree.bind(blackboard)
     return tree
@@ -727,19 +761,18 @@ def _build_node(el: RawElement, doc: TreeDocument,
     if tag == "ForceFailure":
         return ForceFailure(_build_node(el.children[0], doc, registry, depth + 1),
                             name=name)
+    if tag in BUILTIN_LEAF_KINDS:
+        return BUILTIN_LEAF_KINDS[tag](name)
+    record = el.resolved
+    if record is None:
+        raise InstantiationError(
+            f"line {el.line}: {tag} was not resolved by parse_tree_definition")
     if tag == "RetryUntilSuccessful":
-        num_attempts = _port_binding(el, "num_attempts", "int")
-        raw_reasons = el.attrs.get("exempt_reasons", "")
-        if parse_binding(raw_reasons) is not None:
-            raise InstantiationError(
-                f"{name}: exempt_reasons must be a constant list")
+        num_attempts, reasons = record
         return RetryUntilSuccessful(
             _build_node(el.children[0], doc, registry, depth + 1),
-            num_attempts=num_attempts,
-            exempt_reasons=[r for r in raw_reasons.split(REASON_SEPARATOR) if r],
-            name=name)
+            num_attempts=num_attempts, exempt_reasons=reasons, name=name)
     if tag == "SwitchStatement":
-        variable = Key(parse_binding(el.attrs["variable"]))
         cases = []
         default = None
         for child in el.children:
@@ -748,46 +781,12 @@ def _build_node(el: RawElement, doc: TreeDocument,
                 cases.append((child.attrs["value"], built))
             else:
                 default = built
-        return SwitchStatement(variable, cases, default=default, name=name)
+        return SwitchStatement(record, cases, default=default, name=name)
     if tag == "SubTree":
+        remaps, seeds = record
         target = el.attrs["id"]
-        remaps: dict[str, str] = {}
-        seeds: dict[str, object] = {}
-        for attr, value in el.attrs.items():
-            if attr in ("id", "name"):
-                continue
-            key = parse_binding(value)
-            if key is not None:
-                remaps[attr] = key
-            else:
-                try:
-                    seeds[attr] = infer_literal(value)
-                except ValueError as exc:
-                    raise InstantiationError(
-                        f"line {el.line}: SubTree seed {attr!r}: {exc}") from None
         inner = _build_node(doc.trees[target], doc, registry, depth + 1)
-        scope_name = el.attrs.get("name", target)
-        return SubTreeScope(inner, remaps=remaps, seeds=seeds, name=scope_name)
-    if tag in BUILTIN_LEAF_KINDS:
-        return BUILTIN_LEAF_KINDS[tag](name)
-    spec = doc.declared_leaves.get(tag)
-    if spec is None:
-        raise InstantiationError(f"unregistered leaf: {tag}")
-    ports: dict[str, object] = {}
-    for port in spec.ports:
-        if port.name not in el.attrs:
-            continue
-        ports[port.name] = _port_binding(el, port.name, port.type)
-    return registry.build(tag, name, ports)
-
-
-def _port_binding(el: RawElement, port: str, type_name: str):
-    value = el.attrs[port]
-    key = parse_binding(value)
-    if key is not None:
-        return Key(key)
-    try:
-        return convert_literal(value, type_name)
-    except ValueError as exc:
-        raise InstantiationError(
-            f"{el.tag} port {port!r}: {exc}") from None
+        return SubTreeScope(inner, remaps=remaps, seeds=seeds,
+                            name=el.attrs.get("name", target))
+    # a fresh dict per build: the factory may keep or change it
+    return registry.build(tag, name, dict(record))

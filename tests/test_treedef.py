@@ -1,11 +1,16 @@
+import dataclasses
+import itertools
 import math
 from xml.sax.saxutils import quoteattr
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from adaptbt.bench import canonical_tree_text
 from adaptbt.core import (
+    NO_STRATEGIES,
     Blackboard,
+    Key,
     NodeStatus,
     RetryUntilSuccessful,
     Sequence,
@@ -127,13 +132,16 @@ class TestParsing:
         assert "exempt_reasons" in errors[0].message
 
     def test_exempt_reasons_binding_rejected_by_instantiate(self):
+        # instantiate builds from what the parser resolved, so an edit to a
+        # parsed document takes effect, and is checked, only through its text
         document = parse_ok(doc(
             '<Tree id="Main"><RetryUntilSuccessful num_attempts="2" '
             'exempt_reasons="regrasp"><AlwaysSuccess/></RetryUntilSuccessful>'
             '</Tree>'))
         document.trees["Main"].attrs["exempt_reasons"] = "{reasons}"
-        with pytest.raises(InstantiationError, match="exempt_reasons"):
-            instantiate(document, LeafRegistry(), Blackboard())
+        [error] = parse_errors(serialize(document))
+        assert (error.line, error.rule) == (3, "port-value")
+        assert "exempt_reasons" in error.message
 
     def test_text_content_rejected(self):
         errors = parse_errors(doc('<Tree id="Main"><Sequence>beep</Sequence></Tree>'))
@@ -173,6 +181,15 @@ class TestParsing:
             '<Case value="x"><AlwaysFailure/></Case>'
             '</SwitchStatement></Tree>'))
         assert any(e.rule == "case-duplicate" for e in errors)
+
+    # `name` names the node on every element, so a port of that name could
+    # never be told from it
+    @pytest.mark.parametrize("node_name", ["fast", "1.5"])
+    def test_port_called_name_rejected(self, node_name):
+        errors = parse_errors(doc(
+            '<Leaf id="Foo">\n<Port name="name" direction="in" type="float"/>'
+            f'</Leaf>\n<Tree id="Main"><Foo name="{node_name}"/></Tree>'))
+        assert [(e.line, e.rule) for e in errors] == [(3, "port-name")]
 
     def test_output_port_requires_binding(self):
         errors = parse_errors(doc(
@@ -431,11 +448,12 @@ class TestInstantiation:
         [error] = parse_errors(text)
         assert (error.line, error.rule) == (3, "seed-value")
         assert "gain" in error.message
-        # instantiate keeps its own check for documents edited after parsing
+        # an edit to a parsed document is checked when its text is parsed
         document = parse_ok(text.replace(f'gain="{seed}"', 'gain="1.0"'))
         document.trees["Main"].children[0].attrs["gain"] = seed
-        with pytest.raises(InstantiationError, match="line 3: SubTree seed 'gain'"):
-            instantiate(document, LeafRegistry(), Blackboard())
+        [error] = parse_errors(serialize(document))
+        assert error.rule == "seed-value"
+        assert error.message.startswith("gain: ")
 
     def test_unregistered_leaf_names_the_leaf(self):
         document = parse_ok(doc(
@@ -450,8 +468,9 @@ class TestInstantiation:
             '<Tree id="Main"><RetryUntilSuccessful num_attempts="2">'
             '<AlwaysSuccess/></RetryUntilSuccessful></Tree>'))
         document.trees["Main"].attrs["num_attempts"] = "many"
-        with pytest.raises(InstantiationError, match="num_attempts"):
-            instantiate(document, LeafRegistry(), Blackboard())
+        [error] = parse_errors(serialize(document))
+        assert (error.rule, error.message) == (
+            "port-value", "port 'num_attempts' expects int, got 'many'")
 
     def test_switch_and_names_survive_instantiation(self):
         document = parse_ok(doc(
@@ -496,4 +515,189 @@ class TestInstantiation:
         assert [d.rule for d in validate_tree_depth(document)] == ["tree-depth"]
         with pytest.raises(InstantiationError, match=(
                 f"tree-depth: {tag} is more than {MAX_TREE_DEPTH} levels deep")):
+            instantiate(document, LeafRegistry(), Blackboard())
+
+
+# Every feature that resolves a value: literal ports of the four types, a
+# bound and a literal num_attempts, a Default case, and a SubTree with a
+# remap and int, float, bool and str seeds.
+RESOLVED_DOC = doc(
+    '<Leaf id="Probe">'
+    '<Port name="flag" direction="in" type="bool"/>'
+    '<Port name="count" direction="in" type="int"/>'
+    '<Port name="gain" direction="in" type="float"/>'
+    '<Port name="label" direction="in" type="str"/>'
+    '<Port name="word" direction="out" type="str"/>'
+    '</Leaf>'
+    '<Tree id="Main"><Sequence name="root">'
+    '<Probe name="literal" flag="true" count="7" gain="2.5" label="7"'
+    ' word="{mode}"/>'
+    '<RetryUntilSuccessful name="bound_retry" num_attempts="{attempts}"'
+    ' exempt_reasons="regrasp;;slip">'
+    '<SwitchStatement name="switch" variable="{mode}">'
+    '<Case value="a"><SubTree id="Inner" name="inner" level="3" scale="0.5"'
+    ' on="false" tag="a" outer="{shared}"/></Case>'
+    '<Default><RetryUntilSuccessful name="literal_retry" num_attempts="2">'
+    '<Probe name="fallback" flag="{on}" count="{level}" gain="{scale}"'
+    ' label="{tag}" word="{shared}"/>'
+    '</RetryUntilSuccessful></Default>'
+    '</SwitchStatement></RetryUntilSuccessful>'
+    '</Sequence></Tree>'
+    '<Tree id="Inner"><Probe name="seeded" flag="{on}" count="{level}"'
+    ' gain="{scale}" label="{tag}" word="{outer}"/></Tree>')
+
+WRITTEN = {"bool": lambda n: n % 2 == 0, "int": lambda n: n,
+           "float": lambda n: n / 4}
+
+
+def scripted_registry(document, words):
+    """One leaf per declared id of `document`, all driven by one counter.
+
+    Each tick of a leaf logs the inputs it reads. A leaf returns Running
+    when it starts; its next tick writes every output (a str output the next
+    of `words`) and returns Failure on every eleventh turn, Success otherwise.
+    `built` keeps the ports each factory call was given.
+    """
+    registry = LeafRegistry()
+    log, built = [], []
+    turn, writes = itertools.count(), itertools.count()
+
+    def register(spec):
+        def factory(name, ports):
+            built.append((name, dict(ports)))
+
+            def step(node):
+                n = next(turn)
+                log.append((name, [node.input(p.name) for p in spec.ports
+                                   if p.direction != "out"]))
+                if node.status is not NodeStatus.RUNNING:
+                    return NodeStatus.RUNNING
+                for p in spec.ports:
+                    if p.direction != "in":
+                        node.output(p.name, WRITTEN[p.type](n) if p.type != "str"
+                                    else words[next(writes) % len(words)])
+                return NodeStatus.FAILURE if n % 11 == 0 else S
+            return StatefulAction(name, ports, on_start=step, on_running=step)
+        registry.register(spec.name, factory)
+
+    for spec in document.declared_leaves.values():
+        register(spec)
+    return registry, log, built
+
+
+def run_ticks(document, words, seeds, ticks=40):
+    registry, log, built = scripted_registry(document, words)
+    bb = Blackboard()
+    for key, value in seeds.items():
+        bb.set(key, value)
+    tree = instantiate(document, registry, bb)
+    traces = []
+    for _ in range(ticks):
+        status, trace = tick_root(tree, bb)
+        traces.append((status, trace.entries, trace.diagnostics))
+    return traces, log, built
+
+
+CANONICAL_SEEDS = {"num_attempts": 5, "target_angle": 1.5,
+                   "tightened_threshold": math.inf, "twist_progress": 0.0}
+
+
+class TestResolvedRecords:
+    """instantiate builds from what the parser resolved, once per element."""
+
+    @pytest.mark.parametrize("ids", [1, 2, 64])
+    def test_canonical_tree_ticks_the_same_after_a_round_trip(self, ids):
+        strategy_ids = [f"s{i}" for i in range(ids)]
+        text = canonical_tree_text(strategy_ids)
+        words = strategy_ids + [NO_STRATEGIES]
+        first = run_ticks(parse_ok(text), words, CANONICAL_SEEDS)
+        again = run_ticks(parse_ok(serialize(parse_ok(text))), words,
+                          CANONICAL_SEEDS)
+        assert first == again
+        traces, log, _ = first
+        visited = {name for _, entries, _ in traces for name, _ in entries}
+        assert {"s0_run", "IsTightened", "retract_then_fail"} <= visited
+        assert ("IsTightened", [0.0, math.inf]) in log  # a seed and a remap
+
+    def test_hand_document_ticks_the_same_after_a_round_trip(self):
+        seeds = {"attempts": 3, "shared": "x"}
+        first = run_ticks(parse_ok(RESOLVED_DOC), ["a", "b"], seeds)
+        again = run_ticks(parse_ok(serialize(parse_ok(RESOLVED_DOC))),
+                          ["a", "b"], seeds)
+        assert first == again
+        traces, log, _ = first
+        visited = {name for _, entries, _ in traces for name, _ in entries}
+        assert {"inner", "seeded", "fallback", "literal_retry"} <= visited
+        assert ("seeded", [False, 3, 0.5, "a"]) in log
+        assert any(diagnostics for _, _, diagnostics in traces)  # {on} unbound
+
+    def test_ports_hold_keys_and_typed_constants(self):
+        _, _, built = run_ticks(parse_ok(RESOLVED_DOC), ["a", "b"],
+                                {"attempts": 3}, ticks=0)
+        ports = dict(built)
+        assert [(p, type(v), v) for p, v in ports["literal"].items()] == [
+            ("flag", bool, True), ("count", int, 7), ("gain", float, 2.5),
+            ("label", str, "7"), ("word", Key, "mode")]
+        assert all(type(v) is Key for v in ports["seeded"].values())
+
+    def test_records_of_each_kind(self):
+        document = parse_ok(RESOLVED_DOC)
+        literal, bound_retry = document.trees["Main"].children
+        switch = bound_retry.children[0]
+        case, default = switch.children
+        subtree = case.children[0]
+        literal_retry = default.children[0]
+        assert (type(bound_retry.resolved[0]), bound_retry.resolved) == (
+            Key, ("attempts", ("regrasp", "slip")))
+        assert (type(literal_retry.resolved[0]), literal_retry.resolved) == (
+            int, (2, ()))
+        assert (type(switch.resolved), switch.resolved) == (Key, "mode")
+        remaps, seeds = subtree.resolved
+        assert remaps == {"outer": "shared"}
+        assert [(k, type(v), v) for k, v in seeds.items()] == [
+            ("level", int, 3), ("scale", float, 0.5), ("on", bool, False),
+            ("tag", str, "a")]
+        tree = instantiate(document, scripted_registry(document, ["a"])[0],
+                           Blackboard())
+        assert tree.children[1].exempt_reasons == {"regrasp", "slip"}
+
+    def test_equality_ignores_resolved_records(self):
+        first = parse_ok(RESOLVED_DOC)
+        assert first == parse_ok(serialize(first))
+        root = first.trees["Main"]
+        leaf = root.children[0]
+        assert dataclasses.replace(leaf, resolved={"flag": False}) == leaf
+        assert dataclasses.replace(root, resolved=("other",)) == root
+        assert "resolved" not in repr(leaf)
+
+    def test_factory_cannot_change_the_record(self):
+        document = parse_ok(doc(
+            '<Leaf id="Move"><Port name="speed" direction="in" type="float"/>'
+            '</Leaf><Tree id="Main"><Move speed="1.5"/></Tree>'))
+        given = []
+
+        def factory(name, ports):
+            given.append(dict(ports))
+            ports["speed"] = Key("elsewhere")
+            ports["extra"] = 1
+            return StatefulAction(name, ports, on_start=lambda node: S)
+
+        registry = LeafRegistry()
+        registry.register("Move", factory)
+        for _ in range(2):
+            instantiate(document, registry, Blackboard())
+        assert given == [{"speed": 1.5}, {"speed": 1.5}]
+
+    @pytest.mark.parametrize("tag,attrs", [
+        ("RetryUntilSuccessful", {"num_attempts": "2"}),
+        ("SwitchStatement", {"variable": "{mode}"}),
+        ("SubTree", {"id": "Main"}),
+        ("Probe", {}),
+    ])
+    def test_element_the_parser_never_saw_is_refused(self, tag, attrs):
+        document = parse_ok(RESOLVED_DOC)
+        document.trees["Main"] = RawElement(
+            tag, attrs, [RawElement("AlwaysSuccess", {})], line=9)
+        with pytest.raises(InstantiationError, match=(
+                f"^line 9: {tag} was not resolved by parse_tree_definition$")):
             instantiate(document, LeafRegistry(), Blackboard())
