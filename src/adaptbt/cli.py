@@ -36,7 +36,7 @@ from .sim import DeviceInstance
 from .strategies import DataStore, StrategySpec, open_store, \
     persist as persist_data_store
 from .treedef import InstantiationError, TreeDocument, \
-    parse_tree_definition, validate_switch_coverage, validate_tree_depth
+    parse_tree_definition, validate_switch_coverage
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -153,7 +153,6 @@ def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
     if result.document is not None:
         diagnostics.extend(validate_switch_coverage(
             result.document, {s.id for s in strategies}))
-        diagnostics.extend(validate_tree_depth(result.document))
     for diagnostic in diagnostics:
         print(diagnostic)
     if any(d.severity == "error" for d in diagnostics):

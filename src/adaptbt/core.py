@@ -112,11 +112,12 @@ class Blackboard:
         except KeyError:
             raise UnboundKeyError(key) from None
 
-    def peek(self, key: str, default=None):
+    def peek(self, key: str):
+        """The value under `key`, or None when it is unbound."""
         try:
             return self.get(key)
         except UnboundKeyError:
-            return default
+            return None
 
     def set(self, key: str, value) -> None:
         if not isinstance(value, _VALUE_TYPES):
@@ -127,10 +128,6 @@ class Blackboard:
     def delete(self, key: str) -> None:
         entries, key = self.slot(key)
         entries.pop(key, None)
-
-    def has(self, key: str) -> bool:
-        entries, key = self.slot(key)
-        return key in entries
 
 
 class TickTrace:
@@ -143,9 +140,6 @@ class TickTrace:
     def __init__(self):
         self.entries: list[tuple[str, NodeStatus]] = []
         self.diagnostics: list[str] = []
-
-    def names(self) -> list[str]:
-        return [name for name, _ in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -420,9 +414,12 @@ class RetryUntilSuccessful(TreeNode):
         self.attempts_consumed = 0
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
-        limit = int(self.input("num_attempts"))
-        if limit < 1:
-            raise ConfigurationError(f"{self.name}: num_attempts must be >= 1, got {limit}")
+        limit = self.input("num_attempts")
+        if type(limit) is not int or limit < 1:  # not isinstance: a bool is no limit
+            binding = self.ports["num_attempts"]
+            bound = f" bound to {{{binding}}}" if isinstance(binding, Key) else ""
+            raise ConfigurationError(f"{self.name}: port 'num_attempts'{bound} "
+                                     f"must be an int >= 1, got {limit!r}")
         status = self.children[0].execute_tick(trace)
         if status is _RUNNING:
             return _RUNNING

@@ -162,10 +162,6 @@ class FTRecord(_FTFields):
         # the inherited _make, which _replace calls, would skip validation
         return cls(*iterable)
 
-    @property
-    def key(self) -> tuple[str, int, int, float]:
-        return self[:4]
-
 
 STORE_FIELDS = FTRecord._fields
 
@@ -206,9 +202,6 @@ class DataStore:
     def max_torque(self, device_id: str) -> float:
         """Largest recorded torque for the device, 0 when nothing is known."""
         return self._index.get(device_id, 0.0)
-
-    def devices(self) -> list[str]:
-        return sorted(self._index)
 
 
 class _SummaryStore(DataStore):

@@ -423,17 +423,10 @@ class _Analyzer:
         elif tag in self.declared:
             names = self._port_names[tag]
             self._check_attrs(el, allowed=names, required=names)
-            ports: dict[str, object] = {}
-            for port in self.declared[tag].ports:
-                if port.name not in el.attrs:
-                    continue
-                value = self._port_value(el, port.name, port.type)
-                if not isinstance(value, Key) and port.direction in ("out", "inout"):
-                    self.error(el, "output-binding",
-                               f"port {port.name!r} is an output and must be "
-                               f"bound to a blackboard key")
-                ports[port.name] = value
-            el.resolved = ports
+            el.resolved = {
+                port.name: self._port_value(el, port.name, port.type,
+                                            output=port.direction != "in")
+                for port in self.declared[tag].ports if port.name in el.attrs}
             if el.children:
                 self.error(el, "leaf-arity", f"{tag} takes no children")
         else:
@@ -441,15 +434,12 @@ class _Analyzer:
 
     def _switch(self, el: RawElement) -> None:
         self._check_attrs(el, allowed=_VARIABLE, required=_VARIABLE)
-        try:
-            key = parse_binding(el.attrs.get("variable", ""))
-            if key is None:
-                self.error(el, "switch-variable",
-                           "variable must be a {key} blackboard binding")
-            else:
-                el.resolved = Key(key)
-        except ValueError as exc:
-            self.error(el, "binding-syntax", f"variable: {exc}")
+        variable = self._port_value(el, "variable", "str")
+        if isinstance(variable, Key):
+            el.resolved = variable
+        elif variable is not None:
+            self.error(el, "switch-variable",
+                       "variable must be a {key} blackboard binding")
         seen_values = set()
         defaults = 0
         if not el.children:
@@ -480,9 +470,11 @@ class _Analyzer:
             return
         self._node(el.children[0])
 
-    def _port_value(self, el: RawElement, port: str, type_name: str):
+    def _port_value(self, el: RawElement, port: str, type_name: str,
+                    output: bool = False):
         """Validate one port attribute and return its Key binding or typed
-        constant; None when it is absent or invalid."""
+        constant; None when it is absent or invalid. An output port takes
+        only a binding."""
         value = el.attrs.get(port)
         if value is None:
             return None
@@ -493,6 +485,10 @@ class _Analyzer:
             return None
         if key is not None:
             return Key(key)
+        if output:
+            self.error(el, "output-binding", f"port {port!r} is an output "
+                                             f"and must be bound to a blackboard key")
+            return None
         try:
             return convert_literal(value, type_name)
         except ValueError:
@@ -515,20 +511,32 @@ class _Analyzer:
                            f"{el.tag} requires port {attr!r}")
 
     def _subtree_references(self) -> None:
-        """Every SubTree id resolves and the reference graph is acyclic."""
-        refs: dict[str, list[tuple[str, RawElement]]] = {t: [] for t in self.trees}
+        """Every SubTree id resolves, the reference graph is acyclic, and
+        the main tree with its SubTrees expanded is at most MAX_TREE_DEPTH
+        levels deep (Case and Default levels included)."""
+        reported = len(self.diagnostics)
+        # per tree: its own height, and (target, element, level) per SubTree
+        height: dict[str, int] = {}
+        refs: dict[str, list[tuple[str, RawElement, int]]] = {}
         for tree_id, node in self.trees.items():
-            for el in _walk(node):
-                if el.tag != "SubTree":
-                    continue
-                target = el.attrs.get("id", "")
-                if target not in self.trees:
-                    self.error(el, "subtree-ref",
-                               f"SubTree references undefined tree {target!r}")
-                else:
-                    refs[tree_id].append((target, el))
+            refs[tree_id] = links = []
+            level, depth = [node], 0
+            while level:
+                depth += 1
+                for el in level:
+                    if el.tag != "SubTree":
+                        continue
+                    target = el.attrs.get("id", "")
+                    if target not in self.trees:
+                        self.error(el, "subtree-ref",
+                                   f"SubTree references undefined tree {target!r}")
+                    else:
+                        links.append((target, el, depth))
+                level = [child for el in level for child in el.children]
+            height[tree_id] = depth
         # depth-first with an explicit stack: a chain of SubTrees may be
-        # longer than Python's recursion limit
+        # longer than Python's recursion limit. A tree's height is final
+        # once it finishes, after every tree it references.
         state: dict[str, int] = {}
         for start in self.trees:
             if start in state:
@@ -537,7 +545,7 @@ class _Analyzer:
             stack = [(start, iter(refs[start]))]
             while stack:
                 tree_id, pending = stack[-1]
-                for target, el in pending:
+                for target, el, _ in pending:
                     if state.get(target) == 1:
                         self.error(el, "subtree-cycle",
                                    f"SubTree reference cycle through {target!r}")
@@ -548,6 +556,14 @@ class _Analyzer:
                 else:
                     state[tree_id] = 2
                     stack.pop()
+                    for target, _, depth in refs[tree_id]:
+                        height[tree_id] = max(height[tree_id],
+                                              depth + height[target])
+        main = self.main_tree_id
+        if len(self.diagnostics) == reported and height.get(main, 0) > MAX_TREE_DEPTH:
+            self.error(self.trees[main], "tree-depth",
+                       f"main tree {main!r} is {height[main]} levels deep with "
+                       f"its SubTrees expanded, more than {MAX_TREE_DEPTH}")
 
 
 def _walk(el: RawElement):
@@ -601,38 +617,6 @@ def validate_switch_coverage(doc: TreeDocument,
                     WARNING, el.line, el.col, "switch-coverage",
                     f"case {extra!r} matches no registered strategy id"))
     return out
-
-
-def validate_tree_depth(doc: TreeDocument) -> list[Diagnostic]:
-    """Check the main tree, with every SubTree expanded, against
-    MAX_TREE_DEPTH.
-
-    Each tree's own nesting is bounded by the parser, but a chain of
-    SubTrees can add up past it. The walk is iterative and measures each
-    element once; the SubTree graph of a parsed document is acyclic.
-    """
-    root = doc.trees[doc.main_tree_id]
-    heights: dict[int, int] = {}  # id(element) -> levels from it down
-    stack = [(root, False)]
-    while stack:
-        el, expanded = stack.pop()
-        if id(el) in heights:
-            continue
-        children = ([doc.trees[el.attrs["id"]]] if el.tag == "SubTree"
-                    else el.children)
-        if expanded:
-            heights[id(el)] = 1 + max((heights[id(c)] for c in children),
-                                      default=0)
-        else:
-            stack.append((el, True))
-            stack.extend((c, False) for c in children)
-    height = heights[id(root)]
-    if height <= MAX_TREE_DEPTH:
-        return []
-    return [Diagnostic(
-        ERROR, root.line, root.col, "tree-depth",
-        f"main tree {doc.main_tree_id!r} is {height} levels deep with its "
-        f"SubTrees expanded, more than {MAX_TREE_DEPTH}")]
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +731,8 @@ def instantiate(doc: TreeDocument, registry: LeafRegistry,
 def _build_node(el: RawElement, doc: TreeDocument,
                 registry: LeafRegistry, depth: int) -> TreeNode:
     # `depth` skips Case and Default levels, so it never exceeds the height
-    # validate_tree_depth measures: what that accepts builds here, and a
-    # document nobody validated stops here, not in a RecursionError.
+    # the parser measures: what that accepts builds here, and a document
+    # edited after parsing stops here, not in a RecursionError.
     tag = el.tag
     if depth > MAX_TREE_DEPTH:
         raise InstantiationError(

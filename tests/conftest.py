@@ -23,6 +23,11 @@ ENGINE_KINDS = {
 }
 
 
+def trace_names(trace):
+    """The node names of a TickTrace's entries, in tick-entry order."""
+    return [name for name, _ in trace.entries]
+
+
 class ScriptedLeaf(TreeNode):
     """Leaf whose k-th tick returns schedule[k] (last entry repeats).
 

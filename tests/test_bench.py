@@ -212,13 +212,15 @@ class TestEpisodes:
                         num_attempts=5, max_ticks=50)
 
     def test_too_deep_document_is_refused_before_the_first_tick(self):
-        # 1,200 one-level trees, each a SubTree of the next: every tree
-        # parses, the chain is far past the depth limit
+        # 99 one-level trees, each a SubTree of the next, then a leaf: the
+        # chain parses at the depth limit. Pointing its last tree back at
+        # the first after parsing makes it endless.
         trees = "".join(f'<Tree id="T{i}"><SubTree id="T{i + 1}"/></Tree>'
-                        for i in range(1200))
+                        for i in range(99))
         document = parse_tree_definition(
             f'<TreeDocument main_tree="T0">{trees}'
-            '<Tree id="T1200"><AlwaysSuccess/></Tree></TreeDocument>').document
+            '<Tree id="T99"><AlwaysSuccess/></Tree></TreeDocument>').document
+        document.trees["T99"] = document.trees["T0"]
         store = DataStore()
         with pytest.raises(InstantiationError, match="tree-depth"):
             run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES, store,

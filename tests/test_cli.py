@@ -506,6 +506,22 @@ class TestTick:
         assert err.startswith("error:")
         assert "num_attempts" in err
 
+    # a bound limit must be an int: 2.7 and true are not truncated to 2 and
+    # 1, and each error names the node, the port, the key and the value
+    @pytest.mark.parametrize("value", [2.7, True, "abc"])
+    def test_bound_num_attempts_not_an_int_exits_two(self, tmp_path, capsys,
+                                                     value):
+        text = canonical_tree_text(ALL_IDS)
+        tree = tmp_path / "bound.xml"
+        tree.write_text(text.replace('num_attempts="{num_attempts}"',
+                                     'num_attempts="{n}"'))
+        config = write_config(tmp_path, {"blackboard": {"n": value}})
+        assert main(["tick", "--tree", str(tree), "--config", str(config),
+                     "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: attempt_loop: port 'num_attempts' bound to {{n}} "
+                       f"must be an int >= 1, got {value!r}\n")
+
     @pytest.mark.parametrize("payload,key", [
         ({"device": ["stiff"]}, "device"),
         ({"blackboard": {"x": [1]}}, "'x'"),

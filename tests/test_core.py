@@ -25,7 +25,7 @@ from adaptbt.core import (
     iter_nodes,
     tick_root,
 )
-from conftest import ScriptedLeaf
+from conftest import ScriptedLeaf, trace_names
 
 S = NodeStatus.SUCCESS
 F = NodeStatus.FAILURE
@@ -86,7 +86,7 @@ class TestBlackboard:
         bb = Blackboard()
         with pytest.raises(UnboundKeyError):
             bb.get("missing")
-        assert bb.peek("missing", 7) == 7
+        assert bb.peek("missing") is None
 
     def test_rejects_untyped_values(self):
         bb = Blackboard()
@@ -115,7 +115,7 @@ class TestBlackboard:
         outer.set("r", "regrasp")
         inner = Blackboard(parent=outer, remaps={"reason": "r"})
         inner.delete("reason")
-        assert not outer.has("r")
+        assert outer.peek("r") is None
 
 
 class TestSequence:
@@ -126,11 +126,11 @@ class TestSequence:
         tree = Sequence("seq", [cond, action])
         status, trace = tick_root(tree, bb)
         assert status is R
-        assert trace.names() == ["seq", "cond", "action"]
+        assert trace_names(trace) == ["seq", "cond", "action"]
         status, trace = tick_root(tree, bb)
         assert status is S
         # child 0 is not re-ticked on resume
-        assert trace.names() == ["seq", "action"]
+        assert trace_names(trace) == ["seq", "action"]
         assert cond.ticks == 1
 
     def test_failure_resets_progress(self):
@@ -142,7 +142,7 @@ class TestSequence:
         assert status is F
         status, trace = tick_root(tree, bb)
         assert status is S
-        assert trace.names() == ["seq", "first", "second"]
+        assert trace_names(trace) == ["seq", "first", "second"]
         assert first.ticks == 2
 
     def test_restarts_after_success(self):
@@ -191,7 +191,7 @@ class TestFallback:
         status, trace = tick_root(tree, bb)
         assert status is S
         # child 0 is not re-ticked on resume
-        assert "first" not in trace.names()
+        assert "first" not in trace_names(trace)
         assert first.ticks == 1
 
     def test_fails_only_when_all_fail(self):
@@ -199,7 +199,7 @@ class TestFallback:
         tree = Fallback("fb", [AlwaysFailure("a"), AlwaysFailure("b")])
         status, trace = tick_root(tree, bb)
         assert status is F
-        assert trace.names() == ["fb", "a", "b"]
+        assert trace_names(trace) == ["fb", "a", "b"]
 
 
 class TestReactiveFallback:
@@ -259,7 +259,7 @@ class TestRetry:
         assert tree.attempts_consumed == 1
         assert tree.history == [("regrasp", True)] * 3
         # the engine cleared the reason after consuming the exemption
-        assert not bb.has(LAST_FAILURE_REASON)
+        assert bb.peek(LAST_FAILURE_REASON) is None
 
     def test_invalid_attempt_count(self):
         bb = Blackboard()
@@ -410,13 +410,13 @@ class TestTickMechanics:
         inner = Sequence("inner", [AlwaysSuccess("leaf")])
         tree = Sequence("outer", [inner, AlwaysSuccess("tail")])
         _, trace = tick_root(tree, bb)
-        assert trace.names() == ["outer", "inner", "leaf", "tail"]
+        assert trace_names(trace) == ["outer", "inner", "leaf", "tail"]
 
     def test_root_entered_once_per_tick(self):
         bb = Blackboard()
         tree = Sequence("root", [AlwaysSuccess()])
         _, trace = tick_root(tree, bb)
-        assert trace.names().count("root") == 1
+        assert trace_names(trace).count("root") == 1
 
     def test_determinism_same_structure_same_blackboard(self):
         def run():
@@ -456,11 +456,11 @@ class TestSubTreeScope:
                              seeds={"gain": 2}, name="scope")
         assert tick_root(scope, bb)[0] is S
         assert bb.get("valve_angle") == 2.0
-        assert not bb.has("gain")
+        assert bb.peek("gain") is None
 
 
 def tick_count(trace, name):
-    return trace.names().count(name)
+    return trace_names(trace).count(name)
 
 
 class TestEngineContract:
@@ -502,7 +502,7 @@ class TestEngineContract:
             default=AlwaysSuccess("other"), name="sw")
         status, trace = tick_root(with_default, bb)
         assert status is S
-        assert trace.names() == ["sw", "other"]
+        assert trace_names(trace) == ["sw", "other"]
 
     def test_unbound_key_port_names_plain_key(self):
         bb = Blackboard()

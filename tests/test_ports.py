@@ -92,7 +92,7 @@ def test_write_through_two_remaps_lands_in_the_outer_scope():
     inner = leaves[2]
     inner.output("p_c", 2.5)
     assert root.get("a") == 2.5
-    assert not root.has("b") and not root.has("c")
+    assert root.peek("b") is None and root.peek("c") is None
     assert inner.input("p_c") == 2.5
     # a delete in the owning scope is seen by the next read of the slot
     root.delete("a")

@@ -32,8 +32,8 @@ from adaptbt.treedef import (
     serialize,
     structurally_equal,
     validate_switch_coverage,
-    validate_tree_depth,
 )
+from conftest import trace_names
 
 S = NodeStatus.SUCCESS
 
@@ -196,6 +196,23 @@ class TestParsing:
             '<Leaf id="Emit"><Port name="out_val" direction="out" type="float"/></Leaf>'
             '<Tree id="Main"><Emit out_val="3.5"/></Tree>'))
         assert errors[0].rule == "output-binding"
+
+    # one mistake, one diagnostic: a missing or malformed value is not
+    # reported again as a value of the wrong kind
+    @pytest.mark.parametrize("body,want", [
+        ('<Tree id="Main"><SwitchStatement>'
+         '<Case value="x"><AlwaysSuccess/></Case></SwitchStatement></Tree>',
+         [("missing-port", "SwitchStatement requires port 'variable'")]),
+        ('<Leaf id="Emit"><Port name="o" direction="out" type="float"/></Leaf>'
+         '<Tree id="Main"><Emit o="{bad"/></Tree>',
+         [("binding-syntax", "o: malformed binding '{bad'")]),
+        ('<Leaf id="Emit"><Port name="o" direction="out" type="float"/></Leaf>'
+         '<Tree id="Main"><Emit o="soon"/></Tree>',
+         [("output-binding",
+           "port 'o' is an output and must be bound to a blackboard key")]),
+    ], ids=["switch_without_variable", "malformed_output", "text_output"])
+    def test_one_diagnostic_per_mistake(self, body, want):
+        assert [(e.rule, e.message) for e in parse_errors(doc(body))] == want
 
     def test_diagnostic_locations_lie_within_input(self):
         bad_docs = [
@@ -436,7 +453,7 @@ class TestInstantiation:
         assert status is S
         assert trace.diagnostics == []
         assert bb.get("valve_angle") == 3.5
-        assert not bb.has("gain")
+        assert bb.peek("gain") is None
 
     @pytest.mark.parametrize("seed", ["nan", "-inf"])
     def test_non_finite_subtree_seed(self, seed):
@@ -484,7 +501,7 @@ class TestInstantiation:
         assert tree.name == "router"
         status, trace = tick_root(tree, bb)
         assert status is S
-        assert trace.names() == ["router", "go_leaf"]
+        assert trace_names(trace) == ["router", "go_leaf"]
 
     def test_hand_built_element_rejects_bad_literal(self):
         el = RawElement("RetryUntilSuccessful", {"num_attempts": "x"})
@@ -497,22 +514,30 @@ class TestInstantiation:
 
     def test_chain_at_the_limit_builds_and_ticks(self):
         document = parse_ok(subtree_chain(MAX_TREE_DEPTH - 1))
-        assert validate_tree_depth(document) == []
         bb = Blackboard()
         tree = instantiate(document, LeafRegistry(), bb)
         status, trace = tick_root(tree, bb)
         assert status is S
-        assert trace.names() == [f"T{i}" for i in range(1, MAX_TREE_DEPTH)] \
+        assert trace_names(trace) == [f"T{i}" for i in range(1, MAX_TREE_DEPTH)] \
             + ["AlwaysSuccess"]
 
-    # parsing measures each tree alone; only validate_tree_depth and
-    # instantiate see the chain expanded. 1,200 links overflowed the
-    # recursion limit before instantiate counted its depth.
+    # the parser measures the main tree with its SubTrees expanded and
+    # reports it at its root. instantiate counts again, for a document
+    # edited after parsing: here a chain within the limit is stretched to
+    # `links` links. 1,200 links overflowed the recursion limit before
+    # instantiate counted its depth.
     @pytest.mark.parametrize("links,tag", [
         (MAX_TREE_DEPTH, "AlwaysSuccess"), (1200, "SubTree")])
     def test_chain_past_the_limit_is_refused(self, links, tag):
-        document = parse_ok(subtree_chain(links))
-        assert [d.rule for d in validate_tree_depth(document)] == ["tree-depth"]
+        [error] = parse_errors(subtree_chain(links))
+        assert (error.line, error.col, error.rule, error.message) == (
+            2, 15, "tree-depth", f"main tree 'T0' is {links + 1} levels deep "
+            f"with its SubTrees expanded, more than {MAX_TREE_DEPTH}")
+        document = parse_ok(subtree_chain(MAX_TREE_DEPTH - 1))
+        trees = document.trees
+        trees[f"T{links}"] = trees[f"T{MAX_TREE_DEPTH - 1}"]
+        for i in range(MAX_TREE_DEPTH - 1, links):
+            trees[f"T{i}"] = dataclasses.replace(trees["T0"], attrs={"id": f"T{i + 1}"})
         with pytest.raises(InstantiationError, match=(
                 f"tree-depth: {tag} is more than {MAX_TREE_DEPTH} levels deep")):
             instantiate(document, LeafRegistry(), Blackboard())
