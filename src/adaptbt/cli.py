@@ -113,9 +113,12 @@ def strategies_from_config(config: dict) -> list[StrategySpec]:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ConfigError("each strategy needs at least an id")
         try:
-            out.append(StrategySpec(**entry))
+            spec = StrategySpec(**entry)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad strategy entry: {exc}") from exc
+        if any(s.id == spec.id for s in out):
+            raise ConfigError(f"config strategies repeat the id {spec.id!r}")
+        out.append(spec)
     return out
 
 

@@ -17,7 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import LAST_FAILURE_REASON, NodeStatus, StatefulAction
+from .core import ConfigurationError, LAST_FAILURE_REASON, NodeStatus, \
+    StatefulAction
 from .strategies import DataStore, GENUINE, StrategySpec, check_field_types, \
     remap_handle_angle
 
@@ -29,8 +30,9 @@ FAILURE = NodeStatus.FAILURE
 CONFIG = "config"
 
 
-class SimulationError(Exception):
-    """A leaf drove the world outside its contract."""
+class SimulationError(ConfigurationError):
+    """A leaf drove the world outside its contract: the tree wires the
+    episode leaves in an order the world cannot follow."""
 
 
 @dataclass
@@ -236,7 +238,8 @@ class MotionSegment(StatefulAction):
         elif self.segment_kind == "grasp":
             reference = world.planned_reference
             if reference is None:
-                raise SimulationError("grasp completed without a planned pose")
+                raise SimulationError(
+                    f"{self.name}: grasp completed without a planned pose")
             world.set_grasp(reference)
 
 

@@ -48,15 +48,20 @@ _FIELD_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an int"),
 def check_field_types(instance) -> None:
     """Raise TypeError, naming the field, for a value its annotation refuses.
 
-    For the id-keyed dataclasses `StrategySpec` and `DeviceInstance`: a bool
-    is not a number, an int field takes no float, a float field takes an int.
+    For dataclasses such as `StrategySpec`, `DeviceInstance` and
+    `EpisodeSettings`: a bool is not a number, an int field takes no float, a
+    float field takes an int. Fields annotated other than bool, int, float or
+    str are not checked. The message names the record's `id` if it has one.
     """
+    where = f"{instance.id}: " if hasattr(instance, "id") else ""
     for field in fields(instance):
+        if field.type not in _FIELD_TYPES:
+            continue
         value = getattr(instance, field.name)
         types, kind = _FIELD_TYPES[field.type]
         if not isinstance(value, types) or (
                 type(value) is bool and field.type != "bool"):
-            raise TypeError(f"{instance.id}: {field.name} must be {kind}, got {value!r}")
+            raise TypeError(f"{where}{field.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,11 @@ COMPOSITE_KINDS = {
     "ReactiveFallback": ReactiveFallback,
 }
 BUILTIN_LEAF_KINDS = {"AlwaysSuccess": AlwaysSuccess, "AlwaysFailure": AlwaysFailure}
-STRUCTURAL_TAGS = {"TreeDocument", "Tree", "Leaf", "Port", "Case", "Default"}
+# every tag the dialect gives a meaning of its own; no Leaf may take one
+BUILTIN_TAGS = frozenset({
+    *COMPOSITE_KINDS, *BUILTIN_LEAF_KINDS, "ForceFailure",
+    "RetryUntilSuccessful", "SwitchStatement", "SubTree",
+    "TreeDocument", "Tree", "Leaf", "Port", "Case", "Default"})
 
 REASON_SEPARATOR = ";"
 
@@ -321,8 +325,7 @@ class _Analyzer:
     def _leaf_declaration(self, el: RawElement) -> None:
         self._check_attrs(el, allowed=_ID, required=_ID)
         leaf_id = el.attrs.get("id", "")
-        if leaf_id in self.declared or leaf_id in COMPOSITE_KINDS \
-                or leaf_id in BUILTIN_LEAF_KINDS or leaf_id in STRUCTURAL_TAGS:
+        if leaf_id in self.declared or leaf_id in BUILTIN_TAGS:
             self.error(el, "leaf-id", f"leaf {leaf_id!r} is already defined")
             return
         ports = []
@@ -331,6 +334,9 @@ class _Analyzer:
                 self.error(child, "leaf-section", f"expected Port, got {child.tag}")
                 continue
             self._check_attrs(child, allowed=_PORT_ATTRS, required=_PORT_ATTRS)
+            for inner in child.children:
+                self.error(inner, "leaf-section",
+                           f"Port takes no children, got {inner.tag}")
             direction = child.attrs.get("direction", "")
             type_name = child.attrs.get("type", "")
             if direction not in PORT_DIRECTIONS:

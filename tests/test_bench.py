@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from adaptbt.bench import (
     DEFAULT_STRATEGIES,
     EpisodeProbe,
     EpisodeResult,
+    EpisodeSettings,
     behavior_strategies,
     build_canonical_tree,
     canonical_tree_text,
@@ -160,6 +162,27 @@ class TestConfig:
     def test_bad_numbers_rejected_naming_field(self, field, value):
         with pytest.raises(BenchError, match=field):
             make_config("A", "adaptive", SEED, **{field: value})
+
+    # each field's type is checked where the record is built, not at the
+    # first tick that reads it
+    @pytest.mark.parametrize("field, value, kind", [
+        ("num_attempts", 2.5, "an int"), ("num_attempts", True, "an int"),
+        ("max_ticks", 2.5, "an int"), ("dt", "0.1", "a number"),
+        ("margin", False, "a number"),
+    ])
+    def test_mistyped_setting_rejected_naming_it(self, field, value, kind):
+        message = f"^{field} must be {kind}, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=message):
+            EpisodeSettings(**{field: value})
+        with pytest.raises(TypeError, match=message):
+            make_config("A", "low", SEED, trials=1, **{field: value})
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("trials", 1.0, "an int"), ("store_policy", 1, "a string"),
+    ])
+    def test_mistyped_config_field_rejected_naming_it(self, field, value, kind):
+        with pytest.raises(TypeError, match=f"^{field} must be {kind}, got {value!r}$"):
+            make_config("A", "low", SEED, **{field: value})
 
     def test_unknown_device_rejected(self):
         cfg = make_config("A", "low", SEED, devices=("ghost",), trials=1)

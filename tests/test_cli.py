@@ -114,6 +114,33 @@ class TestRun:
         assert code == 0
         assert "1/1 trials succeeded" in capsys.readouterr().out
 
+    def test_run_devices_picks_the_suite_devices(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"run_devices": ["stiff"]})
+        code = main(["run", "--experiment", "C", "--behavior", "adaptive",
+                     "--seed", "7", "--config", str(config)])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["stiff"] * 2 + ["stiff:"] * 3
+        assert rows[-3] == "  stiff: 2/2 trials succeeded"
+
+    # stiff's second trial needs two attempts at seed 7; the flag beats the
+    # config's num_attempts
+    @pytest.mark.parametrize("configured,attempts,row", [
+        (5, "1", "  stiff trial 2: FAIL attempts=1 time=1.6s "
+                 "strategies=high_torque reasons=genuine"),
+        (1, "2", "  stiff trial 2: ok   attempts=2 time=85.5s "
+                 "strategies=high_torque reasons=genuine"),
+    ])
+    def test_attempts_flag_sets_the_retry_limit(self, tmp_path, capsys,
+                                                configured, attempts, row):
+        config = write_config(tmp_path, {"run_devices": ["stiff"],
+                                         "num_attempts": configured})
+        code = main(["run", "--experiment", "C", "--behavior", "adaptive",
+                     "--seed", "7", "--attempts", attempts,
+                     "--config", str(config)])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[2] == row
+
     def test_broken_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -506,6 +533,24 @@ class TestTick:
         assert err.startswith("error:")
         assert "num_attempts" in err
 
+    def test_simulator_contract_error_exits_two(self, tmp_path, capsys):
+        # a grasp with no LookupPose before it has no pose to grasp at
+        tree = tmp_path / "no_pose.xml"
+        tree.write_text(
+            '<TreeDocument main_tree="Main">\n'
+            '  <Leaf id="Approach"><Port name="strategy" direction="in" type="str"/></Leaf>\n'
+            '  <Leaf id="Grasp"><Port name="strategy" direction="in" type="str"/></Leaf>\n'
+            '  <Tree id="Main">\n'
+            '    <Sequence><Approach strategy="low_torque"/>'
+            '<Grasp name="grab" strategy="low_torque"/></Sequence>\n'
+            '  </Tree>\n'
+            '</TreeDocument>\n')
+        assert main(["validate", "--tree", str(tree)]) == 0
+        assert main(["tick", "--tree", str(tree), "--seed", "1"]) == 2
+        # the whole of stderr: no traceback
+        assert capsys.readouterr().err == \
+            "error: grab: grasp completed without a planned pose\n"
+
     # a bound limit must be an int: 2.7 and true are not truncated to 2 and
     # 1, and each error names the node, the port, the key and the value
     @pytest.mark.parametrize("value", [2.7, True, "abc"])
@@ -728,6 +773,22 @@ class TestConfigValues:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: config {key} ")
+        assert captured.out == ""
+
+    # the config is wrong, not the generated tree nor its switch coverage
+    @pytest.mark.parametrize("command", ["run", "validate", "tick"])
+    def test_repeated_strategy_id_exits_two(self, canonical_file, tmp_path,
+                                            capsys, command):
+        specs = [dataclasses.asdict(s) for s in DEFAULT_STRATEGIES]
+        config = write_config(tmp_path, {
+            "strategies": [{**specs[0], "id": "a"}, {**specs[1], "id": "a"}]})
+        if command == "run":
+            argv = ["run", "--experiment", "C", "--behavior", "adaptive"]
+        else:
+            argv = [command, "--tree", str(canonical_file)]
+        assert main(argv + ["--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: config strategies repeat the id 'a'\n"
         assert captured.out == ""
 
     def test_infinite_target_angle_accepted(self, tmp_path, capsys):

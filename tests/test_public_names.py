@@ -1,10 +1,15 @@
-"""Static guard: every public name in the package has a caller.
+"""Static guards on the package's names and layers.
 
-A definition is every name `adaptbt/__init__.py` imports and, in each other
+The package root defines nothing, so every name has one import path: its
+module. The modules form layers, `LAYERS` from the bottom up, and each
+imports only the layers below it, so importing `adaptbt.core` loads the
+engine alone.
+
+Every public name in the package has a caller. A definition is, in each
 module, every public top-level function, class and constant, and every
 public method, property and classmethod of those classes. A use is looked
-for in the package's modules (not `__init__.py`) and in the benchmark
-harness (`perfbench/*.py`); tests do not count.
+for in the package's modules and in the benchmark harness
+(`perfbench/*.py`); tests do not count.
 
 - A top-level name is used by a name load, an import alias or an attribute
   load of that name.
@@ -18,12 +23,18 @@ name on any object counts as a use: `config.devices`, a field of
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import adaptbt
 
 PACKAGE = Path(adaptbt.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# The modules from the bottom layer up.
+LAYERS = ("core", "treedef", "strategies", "sim", "bench", "cli")
 
 # Names kept without a caller, each with the reason it stays.
 ALLOWED: dict[str, str] = {}
@@ -40,13 +51,7 @@ def parse(path: Path) -> ast.Module:
 def definitions() -> tuple[dict[str, str], dict[str, str]]:
     """Top-level names and class members: qualified name -> bare name."""
     top, members = {}, {}
-    for node in ast.walk(parse(PACKAGE / "__init__.py")):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                top[f"adaptbt.{alias.asname or alias.name}"] = alias.name
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         module = path.stem
         for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -75,8 +80,7 @@ def own_attributes(cls: ast.ClassDef) -> set[str]:
 def uses() -> tuple[set[str], set[str]]:
     """Names loaded or imported, and attribute names loaded, by callers."""
     names, attributes = set(), set()
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    for path in paths + sorted(PERFBENCH.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         tree = parse(path)
         ignored = set()  # self.X loads of classes that assign self.X
         for cls in ast.walk(tree):
@@ -107,3 +111,38 @@ def test_every_public_name_has_a_caller():
     stale = sorted(ALLOWED.keys() - unused)
     assert not stale, "allowed but defined and used, or not defined: " + ", ".join(stale)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_package_root_is_only_its_docstring():
+    tree = parse(PACKAGE / "__init__.py")
+    assert ast.get_docstring(tree) and len(tree.body) == 1, \
+        "adaptbt/__init__.py holds more than its docstring"
+
+
+def test_each_layer_imports_only_the_layers_below_it():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(("__init__",) + LAYERS)
+    upward = []
+    for index, layer in enumerate(LAYERS):
+        for node in ast.walk(parse(PACKAGE / f"{layer}.py")):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{layer}:{node.lineno} imports {target}"
+                           for target in targets if target not in LAYERS[:index]]
+    assert not upward, "; ".join(upward)
+
+
+def test_importing_a_layer_loads_no_layer_above_it():
+    # one interpreter imports the layers bottom up and lists the package's
+    # modules after each import
+    script = (
+        "import importlib, sys\n"
+        f"for layer in {LAYERS!r}:\n"
+        "    importlib.import_module('adaptbt.' + layer)\n"
+        "    print(' '.join(sorted(m for m in sys.modules\n"
+        "                          if m.split('.')[0] == 'adaptbt')))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    lines = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True, text=True).stdout.splitlines()
+    assert lines == [" ".join(["adaptbt"] + [f"adaptbt.{below}"
+                                              for below in sorted(LAYERS[:i + 1])])
+                     for i in range(len(LAYERS))]

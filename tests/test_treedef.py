@@ -214,6 +214,90 @@ class TestParsing:
     def test_one_diagnostic_per_mistake(self, body, want):
         assert [(e.rule, e.message) for e in parse_errors(doc(body))] == want
 
+    # each structural rule's diagnostic, pinned where it is reported: the
+    # offending element's own line and column
+    MAIN = '<Tree id="Main"><AlwaysSuccess/></Tree>'
+
+    @pytest.mark.parametrize("text,want", [
+        ('<Tree id="Main">\n  <AlwaysSuccess/>\n</Tree>\n',
+         ("document-root", 1, 1, "expected TreeDocument root element, got Tree")),
+        (doc(f'{MAIN}\n  <Junk/>'),
+         ("document-section", 3, 3, "expected Leaf or Tree, got Junk")),
+        (doc(f'<Leaf id="Move"/>\n  <Leaf id="Move"/>\n{MAIN}'),
+         ("leaf-id", 3, 3, "leaf 'Move' is already defined")),
+        (doc(f'<Leaf id="Move">\n    <Junk/>\n  </Leaf>\n{MAIN}'),
+         ("leaf-section", 3, 5, "expected Port, got Junk")),
+        (doc('<Leaf id="Move">\n'
+             '    <Port name="x" direction="sideways" type="int"/>\n'
+             f'  </Leaf>\n{MAIN}'),
+         ("port-direction", 3, 5,
+          "direction must be one of ('in', 'out', 'inout'), got 'sideways'")),
+        (doc('<Leaf id="Move">\n'
+             '    <Port name="x" direction="in" type="complex"/>\n'
+             f'  </Leaf>\n{MAIN}'),
+         ("port-type", 3, 5,
+          "type must be one of ('bool', 'int', 'float', 'str'), got 'complex'")),
+        (doc('<Leaf id="Move">\n'
+             '    <Port name="x" direction="in" type="int"/>\n'
+             '    <Port name="x" direction="out" type="int"/>\n'
+             f'  </Leaf>\n{MAIN}'),
+         ("port-name", 4, 5, "duplicate port 'x'")),
+        (doc(f'{MAIN}\n  <Tree id="Main"><AlwaysFailure/></Tree>'),
+         ("tree-id", 3, 3, "tree 'Main' is already defined")),
+        (doc(f'{MAIN}\n  <Tree id="Spare">\n'
+             '    <AlwaysSuccess/><AlwaysFailure/>\n  </Tree>'),
+         ("tree-arity", 3, 3, "tree 'Spare' must have exactly one root node")),
+        (doc('<Tree id="Main">\n'
+             '    <Case value="x"><AlwaysSuccess/></Case>\n  </Tree>'),
+         ("switch-structure", 3, 5,
+          "Case is only allowed directly under SwitchStatement")),
+        (doc('<Tree id="Main">\n'
+             '    <SubTree id="Spare"><AlwaysSuccess/></SubTree>\n  </Tree>\n'
+             '  <Tree id="Spare"><AlwaysSuccess/></Tree>'),
+         ("leaf-arity", 3, 5, "SubTree takes no children")),
+        (doc('<Tree id="Main">\n'
+             '    <AlwaysSuccess><AlwaysFailure/></AlwaysSuccess>\n  </Tree>'),
+         ("leaf-arity", 3, 5, "AlwaysSuccess takes no children")),
+        (doc('<Leaf id="Move"/>\n  <Tree id="Main">\n'
+             '    <Move><AlwaysFailure/></Move>\n  </Tree>'),
+         ("leaf-arity", 4, 5, "Move takes no children")),
+        (doc('<Tree id="Main">\n'
+             '    <SwitchStatement variable="{mode}"/>\n  </Tree>'),
+         ("switch-arity", 3, 5, "SwitchStatement requires ≥1 case")),
+        (doc('<Tree id="Main">\n'
+             '    <SwitchStatement variable="{mode}">\n'
+             '      <Default><AlwaysSuccess/></Default>\n'
+             '      <Default><AlwaysFailure/></Default>\n'
+             '    </SwitchStatement>\n  </Tree>'),
+         ("case-duplicate", 5, 7, "multiple Default cases")),
+    ], ids=["document_root", "document_section", "leaf_id", "leaf_section",
+            "port_direction", "port_type", "port_name_duplicate", "tree_id",
+            "tree_arity", "case_outside_switch", "subtree_arity",
+            "builtin_leaf_arity", "declared_leaf_arity", "switch_arity",
+            "second_default"])
+    def test_rule_diagnostic_is_pinned(self, text, want):
+        assert [(d.rule, d.line, d.col, d.message)
+                for d in parse_tree_definition(text).diagnostics] == [want]
+
+    # a declared leaf of a built-in tag would be built as the built-in kind
+    @pytest.mark.parametrize("tag", [
+        "SubTree", "ForceFailure", "RetryUntilSuccessful", "SwitchStatement",
+        "Sequence", "AlwaysSuccess", "Case", "Port"])
+    def test_leaf_may_not_take_a_builtin_tag(self, tag):
+        text = doc(f'<Leaf id="{tag}"/>\n{self.MAIN}')
+        assert [(d.rule, d.line, d.col, d.message)
+                for d in parse_tree_definition(text).diagnostics] == [
+            ("leaf-id", 2, 1, f"leaf {tag!r} is already defined")]
+
+    def test_element_inside_a_port_is_reported(self):
+        # serialize would drop it
+        text = doc('<Leaf id="Move">\n'
+                   '    <Port name="x" direction="in" type="int"><Junk/></Port>\n'
+                   f'  </Leaf>\n{self.MAIN}')
+        assert [(d.rule, d.line, d.col, d.message)
+                for d in parse_tree_definition(text).diagnostics] == [
+            ("leaf-section", 3, 46, "Port takes no children, got Junk")]
+
     def test_diagnostic_locations_lie_within_input(self):
         bad_docs = [
             doc('<Tree id="Main"><Fallback/></Tree>'),
