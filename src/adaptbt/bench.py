@@ -173,11 +173,22 @@ def make_config(experiment: str, behavior: str, seed: int,
                             seed=seed, **defaults)
 
 
+def strategies_by_id(strategies: list[StrategySpec]) -> dict[str, StrategySpec]:
+    """The specs indexed by id; BenchError when an id repeats."""
+    by_id: dict[str, StrategySpec] = {}
+    for spec in strategies:
+        if spec.id in by_id:
+            raise BenchError(f"strategies repeat the id {spec.id!r}")
+        by_id[spec.id] = spec
+    return by_id
+
+
 def behavior_strategies(behavior: str,
                         strategies: list[StrategySpec] | None = None
                         ) -> list[StrategySpec]:
     """Restrict the registry for single-strategy behaviors."""
     registry = list(strategies if strategies is not None else DEFAULT_STRATEGIES)
+    strategies_by_id(registry)
     if behavior == "adaptive":
         return registry
     wanted = f"{behavior}_torque"
@@ -341,7 +352,7 @@ class EpisodeProbe:
 def episode_leaf_registry(world: World, store: DataStore,
                           strategies: list[StrategySpec], probe: EpisodeProbe,
                           trial: int, margin: float = 0.0) -> LeafRegistry:
-    by_id = {s.id: s for s in strategies}
+    by_id = strategies_by_id(strategies)
     registry = LeafRegistry()
     registry.register("SelectStrategy", functools.partial(
         SelectStrategy, store=store, device_id=world.device.id,

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import errno
 import json
+import math
 import os
 import sys
 from typing import Callable, TextIO
@@ -28,6 +29,7 @@ from .bench import (
     make_config,
     run_episode,
     run_experiment,
+    strategies_by_id,
     summarize,
     trial_rng,
 )
@@ -72,8 +74,6 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -116,9 +116,11 @@ def strategies_from_config(config: dict) -> list[StrategySpec]:
             spec = StrategySpec(**entry)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad strategy entry: {exc}") from exc
-        if any(s.id == spec.id for s in out):
-            raise ConfigError(f"config strategies repeat the id {spec.id!r}")
         out.append(spec)
+    try:
+        strategies_by_id(out)
+    except BenchError as exc:
+        raise ConfigError(f"config {exc}") from None
     return out
 
 
@@ -144,14 +146,10 @@ def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
 
 def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
     """Read, parse and statically check a tree file, printing every diagnostic;
-    the document, or None when the file is unreadable or has an error."""
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    result = parse_tree_definition(text)
+    the document, or None when it has an error. An unreadable file raises
+    OSError."""
+    with open(path) as handle:
+        result = parse_tree_definition(handle.read())
     diagnostics = list(result.diagnostics)
     if result.document is not None:
         diagnostics.extend(validate_switch_coverage(
@@ -269,6 +267,9 @@ def cmd_tick(args: argparse.Namespace) -> int:
         if not isinstance(value, (bool, int, float, str)):
             raise ConfigError(f"config blackboard {key!r} must be a bool, "
                               f"int, float or string")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config blackboard {key!r} must be finite, "
+                              f"got {value}")
 
     document = load_tree(args.tree, strategies)
     if document is None:

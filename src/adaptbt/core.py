@@ -607,7 +607,8 @@ def tick_root(tree: TreeNode, blackboard: Blackboard) -> tuple[NodeStatus, TickT
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:
-    """Depth-first pre-order walk of a tree."""
+    """Depth-first pre-order walk of anything whose nodes hold their
+    children in `.children`: a TreeNode tree or a parsed RawElement tree."""
     stack = [root]
     while stack:
         node = stack.pop()

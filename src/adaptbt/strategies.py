@@ -178,9 +178,6 @@ class DataStore:
         self.records: list[FTRecord] = []
         self._index: dict[str, float] = {}
         self._keys: set[tuple] = set()
-        # (path, records on file, _file_state, line ending) of the file
-        # `load` read, when new records can be appended to it
-        self._file: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -213,9 +210,10 @@ class _SummaryStore(DataStore):
     """A store opened from its file's summary: the records on file are
     counted and summarised, not held, and `records` holds only new ones."""
 
-    def __init__(self, file: tuple, count: int, index: dict, trials: dict):
+    def __init__(self, path, state, count, index, trials):
         super().__init__()
-        self._file, self._count, self._index, self._trials = file, count, index, trials
+        self._path, self._state = path, state  # state: _file_state when opened
+        self._count, self._index, self._trials = count, index, trials
 
     def __len__(self) -> int:
         return self._count + len(self.records)
@@ -236,46 +234,49 @@ def _file_state(st: os.stat_result) -> tuple:
 def persist(store: DataStore, path) -> None:
     """Write the store as CSV; the writer formats floats with repr.
 
-    When `path` is the file the store was loaded from and its size, mtime and
-    inode are unchanged since, only the records added since are appended,
-    with the ending of the file's last row. Otherwise the file is rewritten
-    whole, except from a store opened from a summary, which holds too few
-    records for that and raises ValueError. A regular file also gets its
-    summary, `PATH.summary`, which `open_store` reads.
+    A store opened from a summary appends its new records to that file while
+    its size, mtime and inode are unchanged, and refuses any other path with
+    ValueError. Every other store rewrites the file whole: a summary-opened
+    store whose file changed first loads it as it is now (none if gone) and
+    adds its new records, where a duplicate key raises ValueError. A regular
+    file also gets its summary, `PATH.summary`, which `open_store` reads.
     """
     path = os.fsdecode(path)
-    start, ending = None, "\n"  # None rewrites the file with the header
-    if store._file is not None and store._file[0] == path:
-        try:
-            if _file_state(os.stat(path)) == store._file[2]:
-                start, ending = store._file[1], store._file[3]
-        except FileNotFoundError:
-            pass
-    if start is None and isinstance(store, _SummaryStore):
-        raise ValueError(f"data store {path}: not the unchanged file this store "
-                         f"was opened from, and the store holds only new records")
-    with open(path, "w" if start is None else "a", newline="") as handle:
-        writer = csv.writer(handle, lineterminator=ending)
-        if start is None:
+    append = isinstance(store, _SummaryStore)
+    if append:
+        if path != store._path:
+            raise ValueError(f"data store {path}: not the file this store was "
+                             f"opened from, and the store holds only new records")
+        exists = os.path.exists(path)
+        append = exists and _file_state(os.stat(path)) == store._state
+        if not append:  # the file changed under the store: merge, then rewrite
+            try:
+                new, store = store.records, load(path) if exists else DataStore()
+                for record in new:
+                    store.add(record)
+            except ValueError as exc:
+                raise ValueError(f"data store {path}: {exc}") from None
+    with open(path, "a" if append else "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        if not append:
             writer.writerow(STORE_FIELDS)
-        writer.writerows(store.records[start:])
+        writer.writerows(store.records)
         handle.flush()
         st = os.fstat(handle.fileno())
     if stat.S_ISREG(st.st_mode):
-        _write_summary(store, path, st, ending)
+        _write_summary(store, path, st)
 
 
-def _write_summary(store: DataStore, path: str, st: os.stat_result,
-                   ending: str) -> None:
-    """Replace `PATH.summary`: a crc32 line, then csv rows of the file state,
-    record count and line ending, and each device's top trial and maximum."""
+def _write_summary(store: DataStore, path: str, st: os.stat_result) -> None:
+    """Replace `PATH.summary`: a crc32 line, then csv rows of the file state
+    and record count, and of each device's top trial and maximum."""
     trials = dict(store._trials) if isinstance(store, _SummaryStore) else {}
     for record in store.records:
         if record[1] > trials.get(record[0], record[1] - 1):
             trials[record[0]] = record[1]
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    writer.writerow((*_file_state(st), len(store), ending))
+    writer.writerow((*_file_state(st), len(store)))
     writer.writerows((d, trials[d], repr(m)) for d, m in store._index.items())
     body = text.getvalue().encode()
     with open(f"{path}.summary.tmp", "wb") as handle:
@@ -297,15 +298,16 @@ def open_store(path, device_id: str, trial: int) -> DataStore:
             check, _, body = handle.read().partition(b"\n")
         st = os.stat(path)
         if int(check, 16) == zlib.crc32(body):
-            (*state, count, ending), *rows = csv.reader(
+            # a first row of other than five fields never matches the state
+            (*state, count), *rows = csv.reader(
                 io.StringIO(body.decode(), newline=""))
             state, count = tuple(map(int, state)), int(count)
             index = {d: float(m) for d, _, m in rows}
             trials = {d: int(t) for d, t, _ in rows}
-            if (state == _file_state(st) and count >= 0 and ending in ("\n", "\r\n")
+            if (state == _file_state(st) and count >= 0
                     and all(0.0 <= m < _INF for m in index.values())
                     and trials.get(device_id, trial - 1) < trial):
-                return _SummaryStore((path, 0, state, ending), count, index, trials)
+                return _SummaryStore(path, state, count, index, trials)
     except (OSError, ValueError, csv.Error):
         pass
     return load(path)
@@ -314,49 +316,41 @@ def open_store(path, device_id: str, trial: int) -> DataStore:
 def load(path) -> DataStore:
     """Read a persisted store with csv, row by row; a rejected row is named
     by the line it starts on."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-        st = os.fstat(handle.fileno())
     store = DataStore()
     add = store.add
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), newline=""))
-    try:
-        header = row = next(reader, None)
-        if header != list(STORE_FIELDS):
-            raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
-        end = reader.line_num  # the last line the row before took
-        for row in reader:
-            lineno, end = end + 1, reader.line_num
-            if not row:
-                continue
-            if len(row) != len(STORE_FIELDS):
-                raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} fields, "
-                                 f"got {len(row)}")
-            device_id, trial, attempt, sim_time, torque, force = row
-            # int and float also read "1_0", " 2.5\n" and any Unicode decimal
-            # digit, which persist never writes
-            numbers = f"{trial}{attempt}{sim_time}{torque}{force}"
-            # except the newline a quote left open at the end of the file
-            # swallows: that row still loads, and persist rewrites the file
-            if force.endswith("\n") and next(reader, None) is None:
-                numbers = numbers[:-1]
-            if "_" in numbers or " " in numbers or not numbers.isprintable() \
-                    or not numbers.isascii():
-                raise ValueError(f"line {lineno}: a number field holds a "
-                                 f"non-ASCII character, '_' or whitespace")
-            try:
-                add(FTRecord(device_id, int(trial), int(attempt),
-                             float(sim_time), float(torque), float(force)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
-    # persist may append to a regular file only after a newline that closes
-    # the last row; a quoted field left open at the end swallows that newline
-    if stat.S_ISREG(st.st_mode) and data.endswith(b"\n") \
-            and not (row and row[-1].endswith("\n")):
-        ending = "\r\n" if data.endswith(b"\r\n") else "\n"
-        store._file = (os.fsdecode(path), len(store.records), _file_state(st), ending)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header != list(STORE_FIELDS):
+                raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
+            end = reader.line_num  # the last line the row before took
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(STORE_FIELDS):
+                    raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} "
+                                     f"fields, got {len(row)}")
+                device_id, trial, attempt, sim_time, torque, force = row
+                # int and float also read "1_0", " 2.5\n" and any Unicode
+                # decimal digit, which persist never writes
+                numbers = f"{trial}{attempt}{sim_time}{torque}{force}"
+                # except the newline a quote left open at the end of the file
+                # swallows: that row still loads
+                if force.endswith("\n") and next(reader, None) is None:
+                    numbers = numbers[:-1]
+                if "_" in numbers or " " in numbers or not numbers.isprintable() \
+                        or not numbers.isascii():
+                    raise ValueError(f"line {lineno}: a number field holds a "
+                                     f"non-ASCII character, '_' or whitespace")
+                try:
+                    add(FTRecord(device_id, int(trial), int(attempt),
+                                 float(sim_time), float(torque), float(force)))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return store
 
 

@@ -44,6 +44,7 @@ from .core import (
     SubTreeScope,
     SwitchStatement,
     TreeNode,
+    iter_nodes,
 )
 
 ERROR = "error"
@@ -572,15 +573,6 @@ class _Analyzer:
                        f"its SubTrees expanded, more than {MAX_TREE_DEPTH}")
 
 
-def _walk(el: RawElement):
-    """Depth-first pre-order walk of an element tree."""
-    stack = [el]
-    while stack:
-        el = stack.pop()
-        yield el
-        stack.extend(reversed(el.children))
-
-
 def parse_tree_definition(text: str) -> ParseResult:
     """Parse a definition document; diagnostics carry source locations."""
     root, diagnostics = _read_markup(text)
@@ -610,7 +602,7 @@ def validate_switch_coverage(doc: TreeDocument,
     variable = "{" + doc.strategy_var + "}"
     out: list[Diagnostic] = []
     for node in doc.trees.values():
-        for el in _walk(node):
+        for el in iter_nodes(node):
             if el.tag != "SwitchStatement" or el.attrs.get("variable") != variable:
                 continue
             cases = {c.attrs.get("value", "") for c in el.children if c.tag == "Case"}

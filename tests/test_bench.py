@@ -1,5 +1,6 @@
 """Benchmark harness: canonical tree wiring and experiment behavior."""
 
+import dataclasses
 import math
 import random
 import re
@@ -116,6 +117,21 @@ class TestBehaviorRestriction:
         with pytest.raises(BenchError):
             behavior_strategies("low", [s for s in DEFAULT_STRATEGIES
                                         if s.id != "low_torque"])
+
+    def test_repeated_id_in_code_is_named(self):
+        low = DEFAULT_STRATEGIES[0]
+        strategies = [low, dataclasses.replace(low, ft_limit=9.0)]
+        with pytest.raises(BenchError, match="^strategies repeat the id 'low_torque'$"):
+            run_experiment(make_config("C", "adaptive", SEED, trials=1),
+                           strategies=strategies)
+        store = DataStore()
+        ticks = []
+        with pytest.raises(BenchError, match="^strategies repeat the id 'low_torque'$"):
+            run_episode(DEFAULT_DEVICES["stiff"], strategies, store,
+                        trial_rng(SEED, 0), trial=1, target_angle=math.pi / 2,
+                        num_attempts=5, document=build_canonical_tree(["low_torque"]),
+                        on_tick=lambda *args: ticks.append(args))
+        assert ticks == [] and len(store) == 0
 
     @pytest.mark.parametrize("behavior", ["low", "high"])
     def test_runs_never_select_other_strategies(self, behavior):

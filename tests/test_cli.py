@@ -20,7 +20,7 @@ from adaptbt.cli import (
     trace_writer,
 )
 from adaptbt.core import NodeStatus, TickTrace
-from adaptbt.strategies import DataStore, load, open_store, persist
+from adaptbt.strategies import DataStore, FTRecord, load, open_store, persist
 from adaptbt.treedef import MAX_TREE_DEPTH, parse_tree_definition
 
 ALL_IDS = [s.id for s in DEFAULT_STRATEGIES]
@@ -204,9 +204,23 @@ class TestValidate:
         assert any(line.startswith("error:") for line in stdout.splitlines())
 
     def test_unreadable_file_exits_two(self, tmp_path, capsys):
-        code = main(["validate", "--tree", str(tmp_path / "absent.xml")])
+        path = tmp_path / "absent.xml"
+        code = main(["validate", "--tree", str(path)])
         assert code == 2
-        assert "cannot read" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "validate", "tick"])
+    def test_unreadable_config_exits_two(self, canonical_file, tmp_path, capsys,
+                                         command):
+        path = tmp_path / "absent.json"
+        if command == "run":
+            argv = ["run", "--experiment", "A", "--behavior", "low"]
+        else:
+            argv = [command, "--tree", str(canonical_file)]
+        assert main(argv + ["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: No such file or directory\n"
+        assert captured.out == ""
 
     def test_non_finite_subtree_seed_fails(self, tmp_path, capsys):
         text = canonical_tree_text(ALL_IDS)
@@ -394,6 +408,42 @@ class TestTick:
                      "--data-store", str(tmp_path / "store.csv")])
         assert code == 2
         assert capsys.readouterr().err == "error: No space left on device\n"
+
+    @pytest.mark.parametrize("conflict", [False, True], ids=["foreign", "conflict"])
+    def test_store_changed_during_tick_is_merged(self, canonical_file, tmp_path,
+                                                 capsys, monkeypatch, conflict):
+        path = tmp_path / "store.csv"
+
+        def tick(trial):
+            config = write_config(tmp_path, {"device": "stiff", "trial": trial})
+            return main(["tick", "--tree", str(canonical_file), "--config",
+                         str(config), "--seed", "5", "--data-store", str(path)])
+
+        assert tick(1) in (0, 1)
+        on_file = load(path).records
+        episode = []
+
+        def changing_persist(store, target):
+            # a row written to the file between open_store and persist
+            episode.extend(store.records)
+            key = store.records[0][:4] if conflict else ("other", 1, 1, 0.5)
+            with open(target, "a") as handle:
+                handle.write(",".join(map(str, key)) + ",0.2,0.0\n")
+            persist(store, target)
+
+        monkeypatch.setattr("adaptbt.cli.persist_data_store", changing_persist)
+        code = tick(2)
+        captured = capsys.readouterr()
+        records = load(path).records
+        if conflict:
+            assert code == 2
+            assert captured.err == (f"error: data store {path}: duplicate "
+                                    f"record key {episode[0][:4]}\n")
+            assert records == on_file + [episode[0]._replace(torque=0.2)]
+        else:
+            assert code in (0, 1) and captured.err == ""
+            assert records == on_file + [FTRecord("other", 1, 1, 0.5, 0.2)] + episode
+            assert type(open_store(path, "stiff", 3)) is not DataStore
 
     @pytest.mark.parametrize("trial", [-3, 0])
     def test_trial_below_one_exits_two(self, canonical_file, tmp_path, capsys,
@@ -789,6 +839,29 @@ class TestConfigValues:
         assert main(argv + ["--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: config strategies repeat the id 'a'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_blackboard_value_exits_two(self, tmp_path, capsys, value):
+        tree = tmp_path / "tightened.xml"
+        tree.write_text('<TreeDocument main_tree="Main">\n'
+                        '  <Leaf id="IsTightened">\n'
+                        '    <Port name="torque" direction="in" type="float"/>\n'
+                        '    <Port name="threshold" direction="in" type="float"/>\n'
+                        '  </Leaf>\n'
+                        '  <Tree id="Main">\n'
+                        '    <IsTightened torque="{t}" threshold="{th}"/>\n'
+                        '  </Tree>\n'
+                        '</TreeDocument>\n')
+        config = tmp_path / "config.json"
+        config.write_text('{"blackboard": {"t": 1.0, "th": 0.5}}')
+        assert main(["tick", "--tree", str(tree), "--config", str(config)]) == 0
+        capsys.readouterr()
+        config.write_text('{"blackboard": {"t": 1.0, "th": %s}}' % value)
+        assert main(["tick", "--tree", str(tree), "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: config blackboard 'th' must be finite, "
+                                f"got {float(value)}\n")
         assert captured.out == ""
 
     def test_infinite_target_angle_accepted(self, tmp_path, capsys):

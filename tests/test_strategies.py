@@ -483,7 +483,8 @@ def fresh_bytes(store, tmp_path):
 
 
 class TestStoreAppend:
-    """persist appends to the file the store was loaded from, if unchanged."""
+    """persist appends only from a store opened from its summary: a store
+    that load read is rewritten whole, in persist's form."""
 
     def hand_written(self, tmp_path, text=HAND_WRITTEN):
         path = tmp_path / "store.csv"
@@ -493,12 +494,11 @@ class TestStoreAppend:
         store.record("a,b", 2, 1, 4.0, 2)
         return path, store
 
-    def test_append_keeps_loaded_bytes(self, tmp_path):
+    def test_loaded_store_is_rewritten(self, tmp_path):
+        # the blank row, the int spellings and the hand-made bytes go
         path, store = self.hand_written(tmp_path)
         persist(store, path)
-        assert path.read_bytes() == (HAND_WRITTEN.encode()
-                                     + b"v,2,1,0.30000000000000004,0.75,0.0\n"
-                                     + b'"a,b",2,1,4.0,2.0,0.0\n')
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
         assert load(path).records == store.records
 
     def test_header_only_file_gets_no_second_header(self, tmp_path):
@@ -653,10 +653,6 @@ class TestColumnReader:
         assert all(type(r) is FTRecord for r in loaded.records)
         assert {d: repr(loaded.max_torque(d)) for d in sorted(loaded._index)} \
             == {d: repr(store.max_torque(d)) for d in sorted(store._index)}
-        # a file without a final newline is rewritten, not appended to
-        assert loaded._file == (None if mutation == "no_final_newline" else (
-            os.fspath(path), len(store), strategies._file_state(path.stat()),
-            "\r\n" if mutation == "crlf" else "\n"))
 
     @pytest.mark.parametrize("text", NUMBER_TEXTS)
     @pytest.mark.parametrize("field", range(1, 6))
@@ -823,16 +819,48 @@ class TestStoreSummary:
                 "duplicate record key ('v', 2, 1, 0.2)")):
             store.record("v", 2, 1, 0.2, 0.7)
 
-    def test_persist_to_changed_file_raises(self, tmp_path):
+    def changed_under(self, tmp_path, row):
+        """A store opened from the chain's summary with one new record, and
+        its file, to which `row` was appended after the store was opened."""
         path = self.chain(tmp_path)
         store = open_store(path, "v", 3)
         store.record("v", 3, 1, 0.1, 0.3)
         with open(path, "a") as handle:
-            handle.write("w,5,1,0.1,0.3,0.0\n")
-        before = path.read_bytes()
-        with pytest.raises(ValueError, match=f"^data store {re.escape(str(path))}: "):
+            handle.write(row)
+        return path, store
+
+    def test_persist_to_changed_file_merges(self, tmp_path):
+        path, store = self.changed_under(tmp_path, "w,5,1,0.1,0.3,0.0\n")
+        merged = load(path)
+        merged.add(store.records[0])
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(merged, tmp_path)
+        with mock.patch.object(strategies, "load", wraps=load) as spy:
+            reopened = open_store(path, "w", 6)
+        spy.assert_not_called()
+        assert len(reopened) == 5 and reopened._trials == {"v": 3, "w": 5}
+        assert (reopened.max_torque("v"), reopened.max_torque("w")) == (0.7, 0.3)
+
+    @pytest.mark.parametrize("row,error", [
+        ("v,3,1,0.1,0.9,0.0\n", "duplicate record key ('v', 3, 1, 0.1)"),
+        ("w,5,1\n", "line 5: expected 6 fields, got 3")],
+        ids=["duplicate", "bad_row"])
+    def test_persist_to_changed_file_raises_on_conflict(self, tmp_path, row,
+                                                         error):
+        path, store = self.changed_under(tmp_path, row)
+        before = path.read_bytes(), summary_path(path).read_bytes()
+        with pytest.raises(ValueError, match=re.escape(f"data store {path}: {error}")):
             persist(store, path)
-        assert path.read_bytes() == before
+        assert (path.read_bytes(), summary_path(path).read_bytes()) == before
+
+    def test_persist_to_deleted_file_writes_new_records(self, tmp_path):
+        path = self.chain(tmp_path)
+        store = open_store(path, "v", 3)
+        store.record("v", 3, 1, 0.1, 0.3)
+        path.unlink()
+        persist(store, path)
+        assert load(path).records == store.records
+        assert len(open_store(path, "v", 4)) == 1
 
     def test_persist_to_other_path_raises(self, tmp_path):
         path = self.chain(tmp_path)
@@ -847,8 +875,9 @@ class TestStoreSummary:
 
     @pytest.mark.parametrize("old,new", [
         (b"0.7\n", b"nan\n"), (b"0.7\n", b"inf\n"), (b"0.7\n", b"-1.0\n"),
-        (b"0.7\n", b"0.7,1\n"), (b",2,", b",two,"), (b',3,"', b',-3,"'),
-        (b'"\n"', b'"\r"'), (b"w,1,0.0\n", b"w,1\n")],
+        (b"0.7\n", b"0.7,1\n"), (b",2,", b",two,"), (b",3\n", b",-3\n"),
+        # the line-ending field of the old six-field form
+        (b",3\n", b',3,"\r\n"\n'), (b"w,1,0.0\n", b"w,1\n")],
         ids=["nan", "inf", "negative", "extra_field", "trial_text",
              "negative_count", "bad_ending", "short_row"])
     def test_malformed_summary_takes_full_load(self, tmp_path, old, new):
@@ -864,17 +893,22 @@ class TestStoreSummary:
         assert type(store) is DataStore and len(store) == 3
 
     @pytest.mark.parametrize("opener", [full_load, open_store])
-    def test_crlf_store_stays_crlf(self, tmp_path, opener):
+    def test_crlf_store_is_written_back_lf(self, tmp_path, opener):
         path = tmp_path / "store.csv"
         path.write_bytes(HEADER.replace("\n", "\r\n").encode()
                          + b"v,1,1,0.1,0.3,0.0\r\n")
-        for trial in (2, 3, 4):
-            store = opener(path, "v", trial)
-            store.record("v", trial, 1, 0.2, 0.4)
-            persist(store, path)
+        store = opener(path, "v", 2)
+        assert type(store) is DataStore
+        store.record("v", 2, 1, 0.2, 0.4)
+        persist(store, path)
         data = path.read_bytes()
-        assert data.count(b"\n") == data.count(b"\r\n") == 5
-        assert load(path).records[-1] == FTRecord("v", 4, 1, 0.2, 0.4)
+        assert b"\r" not in data and data == fresh_bytes(store, tmp_path)
+        # the next tick appends through the summary
+        store = open_store(path, "v", 3)
+        assert type(store) is not DataStore
+        store.record("v", 3, 1, 0.2, 0.4)
+        persist(store, path)
+        assert path.read_bytes() == data + b"v,3,1,0.2,0.4,0.0\n"
 
     def test_no_summary_beside_a_non_regular_file(self, tmp_path):
         store = DataStore()
