@@ -67,13 +67,21 @@ _TYPE_NAMES = {int: "an integer", float: "a number", list: "a list",
 EPISODE_KEYS = tuple(f.name for f in dataclasses.fields(EpisodeSettings))
 
 
+def read_utf8(path: str) -> str:
+    """A user-given file's text; a byte that is not UTF-8 raises ConfigError naming it."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | None) -> dict:
     """The JSON object at `path`, each key known and of its CONFIG_TYPES type."""
     if path is None:
         return {}
     try:
-        with open(path) as handle:
-            data = json.load(handle)
+        data = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -148,8 +156,7 @@ def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
     """Read, parse and statically check a tree file, printing every diagnostic;
     the document, or None when it has an error. An unreadable file raises
     OSError."""
-    with open(path) as handle:
-        result = parse_tree_definition(handle.read())
+    result = parse_tree_definition(read_utf8(path))
     diagnostics = list(result.diagnostics)
     if result.document is not None:
         diagnostics.extend(validate_switch_coverage(

@@ -152,10 +152,11 @@ class TickTrace:
 class TreeNode:
     """Base node. Subclasses implement _tick and optionally on_halted/_reset.
 
-    Those hooks are the only extension points: a composite visits its
-    children without calling their execute_tick, so an override of it is
-    not honoured, and it reads each child's bound _tick once, at its own
-    first tick. A node's name and children are fixed at construction.
+    Those hooks are the only extension points: a composite, a switch and a
+    subtree scope visit their children without calling their execute_tick,
+    so an override of it is not honoured, and a composite reads each
+    child's bound _tick once, at its own first tick. A node's name and
+    children are fixed at construction.
 
     Halting is depth-first: children are halted before the node itself, the
     on-halt hook fires exactly once and only for nodes that were Running,
@@ -236,8 +237,9 @@ class TreeNode:
     def execute_tick(self, trace: TickTrace) -> NodeStatus:
         """Visit this node once: the root's and a decorator child's path.
 
-        `_Composite._tick` repeats these steps for its own children, so a
-        change here is made there too.
+        `_Composite._tick`, `SwitchStatement._tick` and `SubTreeScope._tick`
+        repeat these steps for their own children, so a change here is made
+        there too.
         """
         # The entry reads Running while children are visited and is
         # overwritten in place once the status is terminal.
@@ -479,7 +481,19 @@ class SwitchStatement(TreeNode):
                 f"{self.name}: no case matches {value!r} and no default is defined")
         if self._active is not None and self._active != index:
             self.children[self._active].halt()
-        status = self.children[index].execute_tick(trace)
+        # execute_tick's steps, inlined as in _Composite._tick
+        child, entries = self.children[index], trace.entries
+        slot = len(entries)
+        entries.append(child._entered)
+        try:
+            status = child._tick(trace)
+        except UnboundKeyError as exc:
+            status = child._unbound(trace, exc)
+        if status is not _RUNNING:
+            if status is not _SUCCESS and status is not _FAILURE:
+                raise child._invalid(status)
+            entries[slot] = (child.name, status)
+        child.status = status
         self._active = index if status is _RUNNING else None
         return status
 
@@ -520,7 +534,20 @@ class SubTreeScope(TreeNode):
         self.children[0].bind(inner)
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
-        return self.children[0].execute_tick(trace)
+        # execute_tick's steps, inlined as in _Composite._tick
+        child, entries = self.children[0], trace.entries
+        slot = len(entries)
+        entries.append(child._entered)
+        try:
+            status = child._tick(trace)
+        except UnboundKeyError as exc:
+            status = child._unbound(trace, exc)
+        if status is not _RUNNING:
+            if status is not _SUCCESS and status is not _FAILURE:
+                raise child._invalid(status)
+            entries[slot] = (child.name, status)
+        child.status = status
+        return status
 
 
 # ---------------------------------------------------------------------------

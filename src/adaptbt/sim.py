@@ -139,8 +139,10 @@ class World:
         before = device.handle_angle
         limit = device.joint_limit
         after = before + rate * self.dt
-        if math.isfinite(limit):
-            after = max(-limit, min(limit, after))
+        if after > limit:  # an infinite limit fails both tests
+            after = limit
+        elif after < -limit:
+            after = -limit
         device.handle_angle = after
         return after - before, reactive_torque(device, rate)
 

@@ -38,6 +38,7 @@ EXEMPT_REASONS = (REGRASP, STRATEGY_SWITCH)
 _INF = math.inf
 _tuple_new = tuple.__new__
 _SUCCESS = NodeStatus.SUCCESS
+_FAILURE = NodeStatus.FAILURE
 
 
 # annotation -> the value types a field so annotated takes, and their name
@@ -115,7 +116,7 @@ class StrategySpec:
 
 
 def _as_float(field: str, value) -> float:
-    """FTRecord's path for a number that is not a float: ints convert, bools do not."""
+    """An FTRecord number field as a float: ints convert, bools do not."""
     if type(value) is bool or not isinstance(value, (int, float)):
         raise TypeError(f"{field} must be a number, got {value!r}")
     return float(value)
@@ -148,12 +149,9 @@ class FTRecord(_FTFields):
         if type(trial) is not int or type(attempt) is not int:
             raise TypeError(f"trial and attempt must be int, got "
                             f"{trial!r} and {attempt!r}")
-        if type(sim_time) is not float:
-            sim_time = _as_float("sim_time", sim_time)
-        if type(torque) is not float:
-            torque = _as_float("torque", torque)
-        if type(force) is not float:
-            force = _as_float("force", force)
+        sim_time = _as_float("sim_time", sim_time)
+        torque = _as_float("torque", torque)
+        force = _as_float("force", force)
         if not -_INF < sim_time < _INF:
             raise ValueError(f"sim_time must be finite, got {sim_time}")
         if not 0.0 <= torque < _INF:
@@ -199,7 +197,16 @@ class DataStore:
 
     def record(self, device_id: str, trial: int, attempt: int,
                sim_time: float, torque: float, force: float = 0.0) -> None:
-        self.add(FTRecord(device_id, trial, attempt, sim_time, torque, force))
+        values = (device_id, trial, attempt, sim_time, torque, force)
+        # FTRecord's checks, without its call when no field needs converting
+        if (type(device_id) is str and device_id
+                and type(trial) is type(attempt) is int
+                and type(sim_time) is type(torque) is type(force) is float
+                and -_INF < sim_time < _INF and 0.0 <= torque < _INF
+                and -_INF < force < _INF):
+            self.add(_tuple_new(FTRecord, values))
+        else:  # FTRecord converts or refuses, with its messages
+            self.add(FTRecord(*values))
 
     def max_torque(self, device_id: str) -> float:
         """Largest recorded torque for the device, 0 when nothing is known."""
@@ -256,7 +263,7 @@ def persist(store: DataStore, path) -> None:
                     store.add(record)
             except ValueError as exc:
                 raise ValueError(f"data store {path}: {exc}") from None
-    with open(path, "a" if append else "w", newline="") as handle:
+    with open(path, "a" if append else "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         if not append:
             writer.writerow(STORE_FIELDS)
@@ -318,7 +325,7 @@ def load(path) -> DataStore:
     by the line it starts on."""
     store = DataStore()
     add = store.add
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -351,6 +358,15 @@ def load(path) -> DataStore:
                     raise ValueError(f"line {lineno}: {exc}") from None
         except csv.Error as exc:  # such as a field over csv.field_size_limit()
             raise ValueError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # met a read ahead of its row: find its line
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = data[:exc.start].count(b"\n") + 1
+                raise ValueError(f"line {lineno}: {exc}") from None
+            raise
     return store
 
 
@@ -432,11 +448,12 @@ class CheckStrategyViable(Condition):
         return self.input("strategy_id") != NO_STRATEGIES
 
 
+# Guards run every twist tick: each implements _tick, not check, for one call a visit
 class IsTightened(Condition):
     """Success once the measured torque reaches the tightened threshold."""
 
-    def check(self) -> bool:
-        return self.input("torque") >= self.input("threshold")
+    def _tick(self, trace) -> NodeStatus:
+        return _SUCCESS if self.input("torque") >= self.input("threshold") else _FAILURE
 
 
 class AngleWithinLimits(Condition):
@@ -450,13 +467,13 @@ class AngleWithinLimits(Condition):
         super().__init__(name, ports)
         self.registry = registry
 
-    def check(self) -> bool:
+    def _tick(self, trace) -> NodeStatus:
         spec = self.registry[self.input("strategy")]
         angle = self.input("angle")
         if spec.angle_min <= angle <= spec.angle_max:
-            return True
+            return _SUCCESS
         self.bb.set(LAST_FAILURE_REASON, REGRASP)
-        return False
+        return _FAILURE
 
 
 class FTWithinLimits(Condition):
@@ -470,9 +487,9 @@ class FTWithinLimits(Condition):
         super().__init__(name, ports)
         self.registry = registry
 
-    def check(self) -> bool:
+    def _tick(self, trace) -> NodeStatus:
         spec = self.registry[self.input("strategy")]
         if self.input("torque") <= spec.ft_limit:
-            return True
+            return _SUCCESS
         self.bb.set(LAST_FAILURE_REASON, STRATEGY_SWITCH)
-        return False
+        return _FAILURE

@@ -222,6 +222,22 @@ class TestValidate:
         assert captured.err == f"error: {path}: No such file or directory\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["tree", "config"])
+    def test_non_utf8_file_is_named(self, canonical_file, tmp_path, capsys,
+                                    kind):
+        bad = tmp_path / f"bad.{'xml' if kind == 'tree' else 'json'}"
+        if kind == "tree":
+            bad.write_bytes(b'<TreeDocument main_tree="M">\xff</TreeDocument>')
+            argv = ["validate", "--tree", str(bad)]
+        else:
+            bad.write_bytes(b'{"seed": 1, "device": "\xff"}')
+            argv = ["validate", "--tree", str(canonical_file), "--config", str(bad)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+        assert captured.out == ""
+
     def test_non_finite_subtree_seed_fails(self, tmp_path, capsys):
         text = canonical_tree_text(ALL_IDS)
         seed = 'current_torque="0.0"'
@@ -468,6 +484,19 @@ class TestTick:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: data store {store}: line 2: ")
+        assert captured.out == ""
+
+    def test_non_utf8_store_row_exits_two(self, canonical_file, tmp_path,
+                                          capsys):
+        store = tmp_path / "store.csv"
+        store.write_bytes(b"device_id,trial,attempt,sim_time,torque,force\n"
+                          b"v,1,1,0.1,0.3,0.0\nv\xff,1,2,0.1,0.3,0.0\n")
+        code = main(["tick", "--tree", str(canonical_file),
+                     "--data-store", str(store)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: data store {store}: line 3: 'utf-8' codec can't decode")
         assert captured.out == ""
 
     @pytest.mark.parametrize("key,value", [

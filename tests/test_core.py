@@ -629,12 +629,16 @@ class VisitProbe(TreeNode):
         self.resets += 1
 
 
-# The tick root and a decorator child are visited through execute_tick, a
-# composite's child by the composite's own loop; both wrappers return the
+# The tick root (and a RetryUntilSuccessful or ForceFailure child) is visited
+# through execute_tick; a SubTreeScope, a SwitchStatement and a composite
+# repeat its steps inline for their own child. Every wrapper here returns the
 # probe's status as is.
 VISIT_PATHS = {
     "root": lambda leaf: leaf,
     "decorator": lambda leaf: SubTreeScope(leaf, name="wrap"),
+    "switch": lambda leaf: SubTreeScope(
+        SwitchStatement(Key("case"), [("on", leaf)], name="wrap"),
+        seeds={"case": "on"}),
     "composite": lambda leaf: Sequence("wrap", [leaf]),
 }
 

@@ -20,8 +20,9 @@ PACKAGE = Path(adaptbt.__file__).parent
 HOT_FUNCTIONS = {
     "core.py": {"execute_tick", "_tick", "on_start", "on_running", "input",
                 "output"},
-    "sim.py": {"on_start", "on_running", "_advance_segment", "_twist_step"},
-    "strategies.py": {"check", "on_start"},
+    "sim.py": {"on_start", "on_running", "_advance_segment", "_twist_step",
+               "step_twist"},
+    "strategies.py": {"check", "on_start", "_tick", "record"},
     "bench.py": {"run_episode"},
 }
 

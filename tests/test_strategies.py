@@ -192,7 +192,57 @@ class TestSelection:
         assert select_strategy(store, "valve", REGISTRY) == before == "high_torque"
 
 
+class Text(str):
+    """A str subclass: FTRecord takes it as a device id."""
+
+
+# DataStore.record builds exact-type records without the FTRecord call; every
+# other input must reach FTRecord, so both agree on every accepted or
+# rejected field set
+RECORD_INPUTS = [
+    pytest.param(("v", 1, 2, 0.5, 0.3, 0.1), id="exact_types"),
+    pytest.param(("v", 1, 2, -0.0, -0.0, -0.0), id="negative_zeros"),
+    pytest.param(("v", 1, 2, 5, 0.3, 0.0), id="int_sim_time"),
+    pytest.param(("v", 1, 2, 0.5, 3, 0.0), id="int_torque"),
+    pytest.param(("v", 1, 2, 0.5, 0.3, -2), id="int_force"),
+    pytest.param((Text("v"), 1, 2, 0.5, 0.3, 0.0), id="str_subclass_id"),
+    pytest.param(("v", True, 2, 0.5, 0.3, 0.0), id="bool_trial"),
+    pytest.param(("v", 1, 2.0, 0.5, 0.3, 0.0), id="float_attempt"),
+    pytest.param(("", 1, 2, 0.5, 0.3, 0.0), id="empty_device_id"),
+    pytest.param((b"v", 1, 2, 0.5, 0.3, 0.0), id="bytes_device_id"),
+    pytest.param(("v", 1, 2, 0.5, math.nan, 0.0), id="nan_torque"),
+    pytest.param(("v", 1, 2, 0.5, math.inf, 0.0), id="inf_torque"),
+    pytest.param(("v", 1, 2, 0.5, -0.1, 0.0), id="negative_torque"),
+    pytest.param(("v", 1, 2, 0.5, False, 0.0), id="bool_torque"),
+    pytest.param(("v", 1, 2, math.nan, 0.3, 0.0), id="nan_sim_time"),
+    pytest.param(("v", 1, 2, -math.inf, 0.3, 0.0), id="inf_sim_time"),
+    pytest.param(("v", 1, 2, 0.5, 0.3, math.inf), id="inf_force"),
+    pytest.param(("v", 1, 2, 0.5, 0.3, math.nan), id="nan_force"),
+    pytest.param(("v", 1, 2, 0.5, 0.3, "0.0"), id="text_force"),
+]
+
+
+def build_outcome(build, fields):
+    """What `build(*fields)` gives: the record's class and each value's type
+    and repr, or the type and message of what it raises."""
+    try:
+        record = build(*fields)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(record), [(type(v), repr(v)) for v in record]
+
+
 class TestDataStore:
+    @pytest.mark.parametrize("fields", RECORD_INPUTS)
+    def test_record_stores_what_ftrecord_builds(self, fields):
+        store = DataStore()
+
+        def record(*values):
+            store.record(*values)
+            return store.records[-1]
+
+        assert build_outcome(record, fields) == build_outcome(FTRecord, fields)
+
     def test_running_maximum(self):
         store = DataStore()
         store.record("v", 1, 1, 0.1, 0.3)
@@ -312,6 +362,16 @@ class TestDataStore:
         path.write_text(HEADER + "v,1,1,0.1,0.3,0.0\n" + ",1,2,0.1,0.3,0.0\n")
         with pytest.raises(ValueError, match="^line 3: device_id must be a "
                                              "non-empty string, got ''$"):
+            load(path)
+
+    @pytest.mark.parametrize("rows_before", [1, 2000])
+    def test_non_utf8_byte_names_line(self, tmp_path, rows_before):
+        # a long file is decoded in chunks read ahead of the row in use
+        path = tmp_path / "store.csv"
+        rows = "".join(f"v,1,{i},0.1,0.3,0.0\n" for i in range(rows_before))
+        path.write_bytes((HEADER + rows).encode() + b"v\xff,2,1,0.1,0.3,0.0\n")
+        with pytest.raises(ValueError, match=f"^line {rows_before + 2}: 'utf-8' "
+                                             f"codec can't decode byte 0xff"):
             load(path)
 
     @pytest.mark.parametrize("device_id", [5, None, "", b"v"])
@@ -807,6 +867,9 @@ class TestStoreSummary:
         assert (store.max_torque("v"), store.max_torque("w")) == (0.7, 0.0)
         with pytest.raises(ValueError, match="trial 2 of device 'v' may already"):
             store.record("v", 2, 9, 0.1, 0.1)
+        with pytest.raises(ValueError, match="trial 1 of device 'v' may already"):
+            store.record("v", 1, 9, 1, 1)  # ints take the FTRecord call
+        assert store.records == []
         store.record("w", 2, 1, 0.1, 0.1)  # a later trial of another device
 
     def test_trial_on_file_takes_full_load(self, tmp_path):
