@@ -27,6 +27,8 @@ from .core import (
     NodeStatus,
     RetryUntilSuccessful,
     TickTrace,
+    _RUNNING,
+    _SUCCESS,
     iter_nodes,
     tick_root,
 )
@@ -52,10 +54,6 @@ from .treedef import (
 )
 
 STRATEGY_VAR = "strategy_id"
-
-# Hot-path aliases: a module global loads far faster than an enum attribute.
-_RUNNING = NodeStatus.RUNNING
-_SUCCESS = NodeStatus.SUCCESS
 
 DEFAULT_STRATEGIES = [
     StrategySpec("low_torque", ft_limit=0.5, angle_min=0.0, angle_max=math.pi,

@@ -20,9 +20,11 @@ import sys
 from typing import Callable, TextIO
 
 from .bench import (
+    BEHAVIORS,
     BenchError,
     DEFAULT_DEVICES,
     DEFAULT_STRATEGIES,
+    EXPERIMENTS,
     EpisodeSettings,
     RUNNER_KEYS,
     emit_results,
@@ -33,22 +35,17 @@ from .bench import (
     summarize,
     trial_rng,
 )
-from .core import BehaviorTreeError, NodeStatus, TickTrace
+from .core import BehaviorTreeError, NodeStatus, TickTrace, _FAILURE, \
+    _RUNNING, _SUCCESS
 from .sim import DeviceInstance
 from .strategies import DataStore, StrategySpec, open_store, \
-    persist as persist_data_store
+    persist as persist_data_store, read_text
 from .treedef import InstantiationError, TreeDocument, \
     parse_tree_definition, validate_switch_coverage
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
-
-# Trace letters are picked by identity against these aliases: indexing a
-# dict by status runs the Python-level Enum.__hash__ once per trace entry.
-_RUNNING = NodeStatus.RUNNING
-_SUCCESS = NodeStatus.SUCCESS
-_FAILURE = NodeStatus.FAILURE
 
 
 class ConfigError(Exception):
@@ -68,12 +65,12 @@ EPISODE_KEYS = tuple(f.name for f in dataclasses.fields(EpisodeSettings))
 
 
 def read_utf8(path: str) -> str:
-    """A user-given file's text; a byte that is not UTF-8 raises ConfigError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    """A user-given file's text (`read_text`); a byte that is not UTF-8
+    raises ConfigError naming the path and line."""
+    try:
+        return read_text(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_config(path: str | None) -> dict:
@@ -194,6 +191,8 @@ def trace_writer(out: TextIO) -> Callable[[int, float, NodeStatus, TickTrace],
         nonlocal last_entries, text
         entries = trace.entries
         if entries != last_entries:
+            # letters by identity: indexing a dict by status would run the
+            # Python-level Enum.__hash__ once per trace entry
             text = " ".join(
                 f"{name}={'R' if s is _RUNNING else 'S' if s is _SUCCESS else 'F' if s is _FAILURE else 'I'}"
                 for name, s in entries)
@@ -326,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="run one experiment suite")
-    run.add_argument("--experiment", required=True, choices=["A", "B", "C"])
-    run.add_argument("--behavior", required=True,
-                     choices=["low", "high", "adaptive"])
+    run.add_argument("--experiment", required=True, choices=EXPERIMENTS)
+    run.add_argument("--behavior", required=True, choices=BEHAVIORS)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trials", type=int, default=None)
     run.add_argument("--attempts", type=int, default=None)

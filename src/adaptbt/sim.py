@@ -18,16 +18,9 @@ import random
 from dataclasses import dataclass
 
 from .core import ConfigurationError, LAST_FAILURE_REASON, NodeStatus, \
-    StatefulAction
-from .strategies import DataStore, GENUINE, StrategySpec, check_field_types, \
-    remap_handle_angle
-
-RUNNING = NodeStatus.RUNNING
-SUCCESS = NodeStatus.SUCCESS
-FAILURE = NodeStatus.FAILURE
-
-# reason written when a strategy window cannot hold the device symmetry
-CONFIG = "config"
+    StatefulAction, _FAILURE, _RUNNING, _SUCCESS
+from .strategies import CONFIG, DataStore, GENUINE, StrategySpec, \
+    check_field_types, remap_handle_angle
 
 
 class SimulationError(ConfigurationError):
@@ -172,10 +165,10 @@ class LookupPose(StatefulAction):
                 spec.angle_min, spec.angle_max)
         except ValueError:
             self.bb.set(LAST_FAILURE_REASON, CONFIG)
-            return FAILURE
+            return _FAILURE
         self.world.planned_reference = reference
         self.output("angle", reference)
-        return SUCCESS
+        return _SUCCESS
 
 
 class MotionSegment(StatefulAction):
@@ -203,10 +196,10 @@ class MotionSegment(StatefulAction):
         if self.segment_kind == "grasp" and not (world.approached
                                                  and not world.grasped):
             self.bb.set(LAST_FAILURE_REASON, GENUINE)
-            return FAILURE
+            return _FAILURE
         if self.segment_kind == "approach" and world.grasped:
             self.bb.set(LAST_FAILURE_REASON, GENUINE)
-            return FAILURE
+            return _FAILURE
         if self.segment_kind == "retract":
             # gripper opens on command; only the motion itself can fail,
             # so an aborted retract never leaves the handle held
@@ -226,12 +219,12 @@ class MotionSegment(StatefulAction):
             self._fail_at -= 1
             if self._fail_at <= 0:
                 self.bb.set(LAST_FAILURE_REASON, GENUINE)
-                return FAILURE
+                return _FAILURE
         self._steps_left -= 1
         if self._steps_left > 0:
-            return RUNNING
+            return _RUNNING
         self._complete()
-        return SUCCESS
+        return _SUCCESS
 
     def _complete(self) -> None:
         world = self.world
@@ -268,11 +261,11 @@ class ManipulateTarget(StatefulAction):
         world = self.world
         if not world.grasped:
             self.bb.set(LAST_FAILURE_REASON, GENUINE)
-            return FAILURE
+            return _FAILURE
         spec = self.registry[self.input("strategy")]
         remaining = self.input("target_angle") - self.input("progress")
         if remaining <= 0.0:
-            return SUCCESS
+            return _SUCCESS
         window_cap = max(0.0, spec.angle_max - world.effective_angle)
         planned = min(remaining, window_cap)
         steps = max(1, math.ceil(planned / (spec.twist_rate * world.dt)))
@@ -288,7 +281,7 @@ class ManipulateTarget(StatefulAction):
             self._fail_at -= 1
             if self._fail_at <= 0:
                 self.bb.set(LAST_FAILURE_REASON, GENUINE)
-                return FAILURE
+                return _FAILURE
         world = self.world
         delta, torque = world.step_twist(spec.twist_rate)
         self.store.record(world.device.id, self.trial, self.probe.attempt,
@@ -298,8 +291,8 @@ class ManipulateTarget(StatefulAction):
         self.output("torque", torque)
         self.output("angle", world.effective_angle)
         if progress >= self.input("target_angle"):
-            return SUCCESS
-        return RUNNING
+            return _SUCCESS
+        return _RUNNING
 
 
 def draw_segment_failure(rng: random.Random, p_failure: float,

@@ -24,6 +24,8 @@ from .core import (
     NO_STRATEGIES,
     NodeStatus,
     StatefulAction,
+    _FAILURE,
+    _SUCCESS,
 )
 from .treedef import infer_literal, parse_binding
 
@@ -32,13 +34,12 @@ from .treedef import infer_literal, parse_binding
 REGRASP = "regrasp"
 STRATEGY_SWITCH = "strategy_switch"
 GENUINE = "genuine"
+CONFIG = "config"  # a strategy window cannot hold the device symmetry
 EXEMPT_REASONS = (REGRASP, STRATEGY_SWITCH)
 
 # module globals: on the hot path a global load is cheaper than an attribute load
 _INF = math.inf
 _tuple_new = tuple.__new__
-_SUCCESS = NodeStatus.SUCCESS
-_FAILURE = NodeStatus.FAILURE
 
 
 # annotation -> the value types a field so annotated takes, and their name
@@ -320,53 +321,57 @@ def open_store(path, device_id: str, trial: int) -> DataStore:
     return load(path)
 
 
+def read_text(path) -> str:
+    """The text of a user-edited file, read once and decoded as UTF-8 with a
+    leading byte-order mark dropped; a byte that is not UTF-8 raises
+    ValueError naming its line."""
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end at \n, \r\n or a lone \r, as csv and expat count them
+        lineno = len((data[:exc.start] + b"x").splitlines())
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
 def load(path) -> DataStore:
-    """Read a persisted store with csv, row by row; a rejected row is named
-    by the line it starts on."""
+    """Read a persisted store (`read_text`) with csv, row by row; a rejected
+    row is named by the line it starts on."""
     store = DataStore()
     add = store.add
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header != list(STORE_FIELDS):
-                raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
-            end = reader.line_num  # the last line the row before took
-            for row in reader:
-                lineno, end = end + 1, reader.line_num
-                if not row:
-                    continue
-                if len(row) != len(STORE_FIELDS):
-                    raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} "
-                                     f"fields, got {len(row)}")
-                device_id, trial, attempt, sim_time, torque, force = row
-                # int and float also read "1_0", " 2.5\n" and any Unicode
-                # decimal digit, which persist never writes
-                numbers = f"{trial}{attempt}{sim_time}{torque}{force}"
-                # except the newline a quote left open at the end of the file
-                # swallows: that row still loads
-                if force.endswith("\n") and next(reader, None) is None:
-                    numbers = numbers[:-1]
-                if "_" in numbers or " " in numbers or not numbers.isprintable() \
-                        or not numbers.isascii():
-                    raise ValueError(f"line {lineno}: a number field holds a "
-                                     f"non-ASCII character, '_' or whitespace")
-                try:
-                    add(FTRecord(device_id, int(trial), int(attempt),
-                                 float(sim_time), float(torque), float(force)))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:  # met a read ahead of its row: find its line
-            with open(path, "rb") as raw:
-                data = raw.read()
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header != list(STORE_FIELDS):
+            raise ValueError(f"line 1: expected header {','.join(STORE_FIELDS)}")
+        end = reader.line_num  # the last line the row before took
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(STORE_FIELDS):
+                raise ValueError(f"line {lineno}: expected {len(STORE_FIELDS)} "
+                                 f"fields, got {len(row)}")
+            device_id, trial, attempt, sim_time, torque, force = row
+            # int and float also read "1_0", " 2.5\n" and any Unicode
+            # decimal digit, which persist never writes
+            numbers = f"{trial}{attempt}{sim_time}{torque}{force}"
+            # except the newline a quote left open at the end of the file
+            # swallows: that row still loads
+            if force.endswith("\n") and next(reader, None) is None:
+                numbers = numbers[:-1]
+            if "_" in numbers or " " in numbers or not numbers.isprintable() \
+                    or not numbers.isascii():
+                raise ValueError(f"line {lineno}: a number field holds a "
+                                 f"non-ASCII character, '_' or whitespace")
             try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                lineno = data[:exc.start].count(b"\n") + 1
+                add(FTRecord(device_id, int(trial), int(attempt),
+                             float(sim_time), float(torque), float(force)))
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            raise
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return store
 
 

@@ -125,18 +125,12 @@ class PortSpec:
     type: str
 
 
-@dataclass(frozen=True)
-class LeafSpec:
-    name: str
-    ports: tuple[PortSpec, ...]
-
-
 @dataclass
 class TreeDocument:
     trees: dict[str, RawElement]
     main_tree_id: str
     strategy_var: str | None
-    declared_leaves: dict[str, LeafSpec]
+    declared_leaves: dict[str, tuple[PortSpec, ...]]  # leaf id -> its ports
 
 
 @dataclass
@@ -286,7 +280,7 @@ class _Analyzer:
         self.root = root
         self.diagnostics: list[Diagnostic] = []
         self.trees: dict[str, RawElement] = {}
-        self.declared: dict[str, LeafSpec] = {}
+        self.declared: dict[str, tuple[PortSpec, ...]] = {}
         self._port_names: dict[str, frozenset[str]] = {}
         self.main_tree_id = ""
         self.strategy_var: str | None = None
@@ -355,7 +349,7 @@ class _Analyzer:
                 self.error(child, "port-name", f"duplicate port {name!r}")
             ports.append(PortSpec(name, direction, type_name))
         if leaf_id:
-            self.declared[leaf_id] = LeafSpec(leaf_id, tuple(ports))
+            self.declared[leaf_id] = tuple(ports)
             self._port_names[leaf_id] = frozenset(p.name for p in ports)
 
     def _tree(self, el: RawElement) -> None:
@@ -433,7 +427,7 @@ class _Analyzer:
             el.resolved = {
                 port.name: self._port_value(el, port.name, port.type,
                                             output=port.direction != "in")
-                for port in self.declared[tag].ports if port.name in el.attrs}
+                for port in self.declared[tag] if port.name in el.attrs}
             if el.children:
                 self.error(el, "leaf-arity", f"{tag} takes no children")
         else:
@@ -631,9 +625,9 @@ def serialize(doc: TreeDocument) -> str:
     if doc.strategy_var is not None:
         attrs["strategy_var"] = doc.strategy_var
     lines.append(f"<TreeDocument{_format_attrs(attrs)}>")
-    for leaf in doc.declared_leaves.values():
-        lines.append(f'  <Leaf id={quote_attribute(leaf.name)}>')
-        for port in leaf.ports:
+    for leaf_id, ports in doc.declared_leaves.items():
+        lines.append(f'  <Leaf id={quote_attribute(leaf_id)}>')
+        for port in ports:
             lines.append(f"    <Port{_format_attrs(dict(name=port.name, direction=port.direction, type=port.type))}/>")
         lines.append("  </Leaf>")
     for tree_id, node in doc.trees.items():

@@ -235,7 +235,27 @@ class TestValidate:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(
-            f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position ")
+            f"error: {bad}: line 1: 'utf-8' codec can't decode byte 0xff in position ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("kind", ["tree", "config"])
+    def test_non_utf8_byte_is_named_by_line(self, canonical_file, tmp_path,
+                                            capsys, kind, ending):
+        # a leading byte-order mark moves no line
+        bad = tmp_path / f"bad.{'xml' if kind == 'tree' else 'json'}"
+        if kind == "tree":
+            lines = [b'<TreeDocument main_tree="M">', b'<Tree id="M">',
+                     b"\xff</Tree>", b"</TreeDocument>"]
+            argv = ["validate", "--tree", str(bad)]
+        else:
+            lines = [b"{", b'"seed": 1,', b'"device": "\xff"}']
+            argv = ["validate", "--tree", str(canonical_file), "--config", str(bad)]
+        bad.write_bytes(b"\xef\xbb\xbf" + ending.join(lines) + ending)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: line 3: 'utf-8' codec ")
         assert captured.out == ""
 
     def test_non_finite_subtree_seed_fails(self, tmp_path, capsys):
@@ -498,6 +518,31 @@ class TestTick:
         assert captured.err.startswith(
             f"error: data store {store}: line 3: 'utf-8' codec can't decode")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["tree", "config", "store"])
+    def test_leading_bom_is_dropped(self, canonical_file, tmp_path, capsys,
+                                    kind):
+        # spreadsheet programs, and some editors, start a UTF-8 file with a BOM
+        history = DataStore()
+        history.record("stiff", 1, 1, 0.1, 0.9)  # trial 2 starts high_torque
+        persist(history, tmp_path / "store.csv")
+        files = {"tree": canonical_file, "store": tmp_path / "store.csv",
+                 "config": write_config(tmp_path, {"device": "stiff", "trial": 2})}
+        plain = {name: path.read_bytes() for name, path in files.items()}
+
+        def tick(bom):
+            for name, path in files.items():
+                path.write_bytes(b"\xef\xbb\xbf" * (bom and name == kind)
+                                 + plain[name])
+            code = main(["tick", "--tree", str(files["tree"]), "--seed", "5",
+                         "--config", str(files["config"]),
+                         "--data-store", str(files["store"])])
+            return code, capsys.readouterr(), files["store"].read_bytes()
+
+        code, captured, store = tick(bom=True)
+        assert (code, captured, store) == tick(bom=False)
+        assert code in (0, 1) and captured.err == ""
+        assert "high_torque_run" in captured.out
 
     @pytest.mark.parametrize("key,value", [
         ("num_attempts", 0), ("target_angle", math.nan),

@@ -3,8 +3,9 @@
 Loading an enum member (`NodeStatus.RUNNING`) is a class attribute lookup
 that costs several times a module-global load, and the functions below run
 on every node visit or every tick. One such load in the composite loop once
-cost 9-13% per tick. The modules keep aliases (`_RUNNING`, `RUNNING`, ...)
-instead; this test keeps the member loads out without timing anything.
+cost 9-13% per tick. `core` binds aliases (`_RUNNING`, `_SUCCESS`, ...) that
+the other modules import instead; this test keeps the member loads out
+without timing anything, and keeps the aliases in `core` alone.
 """
 
 import ast
@@ -48,6 +49,21 @@ def test_no_enum_member_loads_on_the_hot_path(module):
             offenders += [f"{node.name}: {load}" for load in member_loads(node)]
     # a renamed function would otherwise drop out of the check unnoticed
     assert seen == wanted
+    assert offenders == []
+
+
+def test_only_core_binds_status_members_at_module_level():
+    # a second alias of a member is a second name for it to drift from
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=path.name)
+        for statement in tree.body:
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)) \
+                    and statement.value is not None:
+                offenders += [f"{path.name}: {load}"
+                              for load in member_loads(statement.value)]
     assert offenders == []
 
 

@@ -366,7 +366,6 @@ class TestDataStore:
 
     @pytest.mark.parametrize("rows_before", [1, 2000])
     def test_non_utf8_byte_names_line(self, tmp_path, rows_before):
-        # a long file is decoded in chunks read ahead of the row in use
         path = tmp_path / "store.csv"
         rows = "".join(f"v,1,{i},0.1,0.3,0.0\n" for i in range(rows_before))
         path.write_bytes((HEADER + rows).encode() + b"v\xff,2,1,0.1,0.3,0.0\n")
@@ -972,6 +971,19 @@ class TestStoreSummary:
         store.record("v", 3, 1, 0.2, 0.4)
         persist(store, path)
         assert path.read_bytes() == data + b"v,3,1,0.2,0.4,0.0\n"
+
+    @pytest.mark.parametrize("opener", [full_load, open_store])
+    def test_bom_store_is_written_back_without_it(self, tmp_path, opener):
+        # spreadsheet programs save CSV with a leading UTF-8 byte-order mark
+        rows = (HEADER + "v,1,1,0.1,0.3,0.0\n").encode()
+        path, plain = tmp_path / "store.csv", tmp_path / "plain.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + rows)
+        plain.write_bytes(rows)
+        store = opener(path, "v", 2)
+        assert type(store) is DataStore and store.records == load(plain).records
+        store.record("v", 2, 1, 0.2, 0.4)
+        persist(store, path)
+        assert path.read_bytes() == fresh_bytes(store, tmp_path)
 
     def test_no_summary_beside_a_non_regular_file(self, tmp_path):
         store = DataStore()

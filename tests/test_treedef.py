@@ -671,26 +671,26 @@ def scripted_registry(document, words):
     log, built = [], []
     turn, writes = itertools.count(), itertools.count()
 
-    def register(spec):
+    def register(leaf_id, specs):
         def factory(name, ports):
             built.append((name, dict(ports)))
 
             def step(node):
                 n = next(turn)
-                log.append((name, [node.input(p.name) for p in spec.ports
+                log.append((name, [node.input(p.name) for p in specs
                                    if p.direction != "out"]))
                 if node.status is not NodeStatus.RUNNING:
                     return NodeStatus.RUNNING
-                for p in spec.ports:
+                for p in specs:
                     if p.direction != "in":
                         node.output(p.name, WRITTEN[p.type](n) if p.type != "str"
                                     else words[next(writes) % len(words)])
                 return NodeStatus.FAILURE if n % 11 == 0 else S
             return StatefulAction(name, ports, on_start=step, on_running=step)
-        registry.register(spec.name, factory)
+        registry.register(leaf_id, factory)
 
-    for spec in document.declared_leaves.values():
-        register(spec)
+    for leaf_id, specs in document.declared_leaves.items():
+        register(leaf_id, specs)
     return registry, log, built
 
 
