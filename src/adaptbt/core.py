@@ -150,7 +150,8 @@ class TickTrace:
 
 
 class TreeNode:
-    """Base node. Subclasses implement _tick and optionally on_halted/_reset.
+    """Base node. Subclasses implement _tick and optionally on_halted/_reset;
+    a leaf talks to the engine through `input`, `output` and `fail`.
 
     Those hooks are the only extension points: a composite, a switch and a
     subtree scope visit their children without calling their execute_tick,
@@ -211,6 +212,11 @@ class TreeNode:
             raise _value_type_error(value)
         entries[key] = value
 
+    def fail(self, reason: str) -> NodeStatus:
+        """Record why this node failed, where a retry reads it, and return Failure."""
+        self.bb.set(LAST_FAILURE_REASON, reason)
+        return _FAILURE
+
     # Resolved ports: port -> (entries, key). A Key binding resolves to the
     # entries of the scope that owns it, a constant to (self.ports, port).
     # Remaps are fixed once bound, and a delete pops from the same entries,
@@ -261,7 +267,7 @@ class TreeNode:
         # Unbound reads surface as Failure at the reading node.
         trace.diagnostics.append(f"{self.name}: {exc}")
         self._reset()
-        return _FAILURE
+        return self.fail(f"unbound:{exc.key}")
 
     def _invalid(self, status) -> ConfigurationError:
         return ConfigurationError(f"{self.name} returned invalid status {status!r}")
@@ -555,7 +561,7 @@ class SubTreeScope(TreeNode):
 
 
 class Condition(TreeNode):
-    """Leaf that succeeds while check() holds; it is evaluated every tick."""
+    """Leaf that succeeds while its predicate holds; it is evaluated every tick."""
 
     def __init__(self, name: str | None = None,
                  ports: dict[str, object] | None = None,
@@ -563,13 +569,10 @@ class Condition(TreeNode):
         super().__init__(name, None, ports)
         self._predicate = predicate
 
-    def check(self) -> bool:
+    def _tick(self, trace: TickTrace) -> NodeStatus:
         if self._predicate is None:
             raise NotImplementedError(f"{self.name} defines no predicate")
-        return self._predicate(self)
-
-    def _tick(self, trace: TickTrace) -> NodeStatus:
-        return _SUCCESS if self.check() else _FAILURE
+        return _SUCCESS if self._predicate(self) else _FAILURE
 
 
 class StatefulAction(TreeNode):

@@ -17,8 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import ConfigurationError, LAST_FAILURE_REASON, NodeStatus, \
-    StatefulAction, _FAILURE, _RUNNING, _SUCCESS
+from .core import ConfigurationError, NodeStatus, StatefulAction, _RUNNING, \
+    _SUCCESS
 from .strategies import CONFIG, DataStore, GENUINE, StrategySpec, \
     check_field_types, remap_handle_angle
 
@@ -164,8 +164,7 @@ class LookupPose(StatefulAction):
                 self.world.device.handle_angle, self.world.device.symmetry_order,
                 spec.angle_min, spec.angle_max)
         except ValueError:
-            self.bb.set(LAST_FAILURE_REASON, CONFIG)
-            return _FAILURE
+            return self.fail(CONFIG)
         self.world.planned_reference = reference
         self.output("angle", reference)
         return _SUCCESS
@@ -195,11 +194,9 @@ class MotionSegment(StatefulAction):
         world = self.world
         if self.segment_kind == "grasp" and not (world.approached
                                                  and not world.grasped):
-            self.bb.set(LAST_FAILURE_REASON, GENUINE)
-            return _FAILURE
+            return self.fail(GENUINE)
         if self.segment_kind == "approach" and world.grasped:
-            self.bb.set(LAST_FAILURE_REASON, GENUINE)
-            return _FAILURE
+            return self.fail(GENUINE)
         if self.segment_kind == "retract":
             # gripper opens on command; only the motion itself can fail,
             # so an aborted retract never leaves the handle held
@@ -218,8 +215,7 @@ class MotionSegment(StatefulAction):
         if self._fail_at is not None:
             self._fail_at -= 1
             if self._fail_at <= 0:
-                self.bb.set(LAST_FAILURE_REASON, GENUINE)
-                return _FAILURE
+                return self.fail(GENUINE)
         self._steps_left -= 1
         if self._steps_left > 0:
             return _RUNNING
@@ -260,8 +256,7 @@ class ManipulateTarget(StatefulAction):
     def on_start(self) -> NodeStatus:
         world = self.world
         if not world.grasped:
-            self.bb.set(LAST_FAILURE_REASON, GENUINE)
-            return _FAILURE
+            return self.fail(GENUINE)
         spec = self.registry[self.input("strategy")]
         remaining = self.input("target_angle") - self.input("progress")
         if remaining <= 0.0:
@@ -280,8 +275,7 @@ class ManipulateTarget(StatefulAction):
         if self._fail_at is not None:
             self._fail_at -= 1
             if self._fail_at <= 0:
-                self.bb.set(LAST_FAILURE_REASON, GENUINE)
-                return _FAILURE
+                return self.fail(GENUINE)
         world = self.world
         delta, torque = world.step_twist(spec.twist_rate)
         self.store.record(world.device.id, self.trial, self.probe.attempt,

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .core import (
     Condition,
-    LAST_FAILURE_REASON,
     NO_STRATEGIES,
     NodeStatus,
     StatefulAction,
@@ -449,11 +448,10 @@ class SelectStrategy(StatefulAction):
 class CheckStrategyViable(Condition):
     """The final viability check: fails on the sentinel id."""
 
-    def check(self) -> bool:
-        return self.input("strategy_id") != NO_STRATEGIES
+    def _tick(self, trace) -> NodeStatus:
+        return _SUCCESS if self.input("strategy_id") != NO_STRATEGIES else _FAILURE
 
 
-# Guards run every twist tick: each implements _tick, not check, for one call a visit
 class IsTightened(Condition):
     """Success once the measured torque reaches the tightened threshold."""
 
@@ -477,8 +475,7 @@ class AngleWithinLimits(Condition):
         angle = self.input("angle")
         if spec.angle_min <= angle <= spec.angle_max:
             return _SUCCESS
-        self.bb.set(LAST_FAILURE_REASON, REGRASP)
-        return _FAILURE
+        return self.fail(REGRASP)
 
 
 class FTWithinLimits(Condition):
@@ -496,5 +493,4 @@ class FTWithinLimits(Condition):
         spec = self.registry[self.input("strategy")]
         if self.input("torque") <= spec.ft_limit:
             return _SUCCESS
-        self.bb.set(LAST_FAILURE_REASON, STRATEGY_SWITCH)
-        return _FAILURE
+        return self.fail(STRATEGY_SWITCH)

@@ -267,6 +267,16 @@ class TestEpisodes:
                         num_attempts=5, document=document)
         assert len(store) == 0
 
+    def test_unbound_read_is_a_failure_reason(self):
+        # the first SubTree remaps target_angle to a key nothing writes
+        text = canonical_tree_text(ALL_IDS).replace(
+            'target_angle="{target_angle}"', 'target_angle="{nosuch}"', 1)
+        result = run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES,
+                             DataStore(), trial_rng(SEED, 0), trial=1,
+                             target_angle=7.0, num_attempts=2,
+                             document=parse_tree_definition(text).document)
+        assert "unbound:nosuch" in result.failure_reasons
+
     def test_attempt_accounting_invariant(self):
         # consumed attempts = genuine failures + 1, capped at the budget
         cfg = make_config("B", "high", SEED, trials=6)

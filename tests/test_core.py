@@ -245,10 +245,7 @@ class TestRetry:
 
             def on_start(self):
                 self.calls += 1
-                if self.calls <= 3:
-                    self.bb.set(LAST_FAILURE_REASON, "regrasp")
-                    return F
-                return S
+                return self.fail("regrasp") if self.calls <= 3 else S
 
         child = ExemptThenSucceed()
         tree = RetryUntilSuccessful(
@@ -475,11 +472,7 @@ class TestEngineContract:
     def test_exempt_failure_halted_child_keeps_failure_in_trace(self):
         bb = Blackboard()
 
-        def fail_exempt(node):
-            node.bb.set(LAST_FAILURE_REASON, "regrasp")
-            return F
-
-        leaf = StatefulAction("leaf", on_start=fail_exempt)
+        leaf = StatefulAction("leaf", on_start=lambda node: node.fail("regrasp"))
         child = Sequence("attempt", [leaf])
         tree = RetryUntilSuccessful(
             child, num_attempts=1, exempt_reasons=["regrasp"], name="retry")
@@ -621,8 +614,7 @@ class VisitProbe(TreeNode):
         if step == "unbound":
             return self.input("flag")
         if step == "exempt":
-            self.bb.set(LAST_FAILURE_REASON, "regrasp")
-            return F
+            return self.fail("regrasp")
         return step
 
     def _reset(self):
@@ -651,7 +643,7 @@ VISIT_CASES = {
     "unbound_read": ([R, "unbound", S], [
         (R, [("probe", R)], []),
         (F, [("probe", F)], [UNBOUND]),
-        (S, [("probe", S)], [])], (S, 1, None)),
+        (S, [("probe", S)], [])], (S, 1, "unbound:missing")),
     "invalid_status": ([R, I], [
         (R, [("probe", R)], []),
         INVALID], (R, 0, None)),

@@ -23,7 +23,7 @@ HOT_FUNCTIONS = {
                 "output"},
     "sim.py": {"on_start", "on_running", "_advance_segment", "_twist_step",
                "step_twist"},
-    "strategies.py": {"check", "on_start", "_tick", "record"},
+    "strategies.py": {"on_start", "_tick", "record"},
     "bench.py": {"run_episode"},
 }
 

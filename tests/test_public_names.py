@@ -3,7 +3,9 @@
 The package root defines nothing, so every name has one import path: its
 module. The modules form layers, `LAYERS` from the bottom up, and each
 imports only the layers below it, so importing `adaptbt.core` loads the
-engine alone.
+engine alone. A leaf talks to the engine through `input`, `output` and
+`fail`, so only `core` loads a node's `.bb` or names the failure-reason
+key; `bench` names it too, to remap it through its SubTrees.
 
 Every public name in the package has a caller. A definition is, in each
 module, every public top-level function, class and constant, and every
@@ -29,6 +31,7 @@ import sys
 from pathlib import Path
 
 import adaptbt
+from adaptbt import core
 
 PACKAGE = Path(adaptbt.__file__).parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -129,6 +132,32 @@ def test_each_layer_imports_only_the_layers_below_it():
                 upward += [f"{layer}:{node.lineno} imports {target}"
                            for target in targets if target not in LAYERS[:index]]
     assert not upward, "; ".join(upward)
+
+
+def key_names(node: ast.AST) -> set[str]:
+    """The names a node loads, stores or imports, and the text it holds."""
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def test_only_the_engine_touches_a_node_blackboard_or_the_reason_key():
+    reason = {core.LAST_FAILURE_REASON, "LAST_FAILURE_REASON"}
+    offenders = []
+    for layer in LAYERS:
+        for node in ast.walk(parse(PACKAGE / f"{layer}.py")):
+            if layer != "core" and isinstance(node, ast.Attribute) \
+                    and node.attr == "bb":
+                offenders.append(f"{layer}:{node.lineno} .bb")
+            if layer not in ("core", "bench") and reason & key_names(node):
+                offenders.append(f"{layer}:{node.lineno} LAST_FAILURE_REASON")
+    assert not offenders, ", ".join(offenders)
 
 
 def test_importing_a_layer_loads_no_layer_above_it():
