@@ -7,7 +7,6 @@ Leaves exchange data through a scoped blackboard.
 from __future__ import annotations
 
 import enum
-import types
 from typing import Callable, Iterator, Sequence as SequenceT
 
 # Reserved blackboard key: failing leaves record why they failed here, the
@@ -174,6 +173,11 @@ class TreeNode:
         self.ports: dict[str, object] = dict(ports or {})
         self.status = _IDLE
         self.bb: Blackboard | None = None
+        # Resolved ports: port -> (entries, key). A Key binding resolves to
+        # the entries of the scope that owns it, a constant to
+        # (self.ports, port). Remaps are fixed once bound, and a delete pops
+        # from the same entries, so a slot stays valid.
+        self._slots: dict[str, tuple[dict, str]] = {}
 
     # -- wiring ---------------------------------------------------------
 
@@ -217,13 +221,6 @@ class TreeNode:
         self.bb.set(LAST_FAILURE_REASON, reason)
         return _FAILURE
 
-    # Resolved ports: port -> (entries, key). A Key binding resolves to the
-    # entries of the scope that owns it, a constant to (self.ports, port).
-    # Remaps are fixed once bound, and a delete pops from the same entries,
-    # so a slot stays valid. The instance dict is made on the first
-    # resolution; nodes that never touch a port share this empty mapping.
-    _slots = types.MappingProxyType({})
-
     def _resolve(self, port: str) -> tuple[dict, str]:
         try:
             binding = self.ports[port]
@@ -233,8 +230,6 @@ class TreeNode:
             slot = self.bb.slot(str(binding))
         else:
             slot = (self.ports, port)
-        if "_slots" not in self.__dict__:
-            self._slots = {}
         self._slots[port] = slot
         return slot
 

@@ -247,6 +247,12 @@ def persist(store: DataStore, path) -> None:
     store whose file changed first loads it as it is now (none if gone) and
     adds its new records, where a duplicate key raises ValueError. A regular
     file also gets its summary, `PATH.summary`, which `open_store` reads.
+
+    A write that raises leaves the file as it was: an append is cut back to
+    the size the summary recorded, and a regular file is rewritten through
+    `TARGET.tmp` moved over it, where TARGET is the file a symlink names and
+    the new file takes the old one's mode. A non-regular file, such as a
+    pipe, is written in place.
     """
     path = os.fsdecode(path)
     append = isinstance(store, _SummaryStore)
@@ -263,15 +269,47 @@ def persist(store: DataStore, path) -> None:
                     store.add(record)
             except ValueError as exc:
                 raise ValueError(f"data store {path}: {exc}") from None
-    with open(path, "a" if append else "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        if not append:
-            writer.writerow(STORE_FIELDS)
-        writer.writerows(store.records)
-        handle.flush()
-        st = os.fstat(handle.fileno())
+    tmp = None
+    if not append:
+        target = os.path.realpath(path)
+        mode = os.stat(target).st_mode if os.path.exists(target) else None
+        if mode is None or stat.S_ISREG(mode):
+            tmp = f"{target}.tmp"
+    try:
+        if append:
+            st = _write_rows(path, "a", store.records)
+        elif tmp is None:
+            st = _write_rows(path, "w", store.records)
+        else:
+            st = _write_rows(tmp, "w", store.records, mode=mode)
+            os.replace(tmp, target)
+    except BaseException as exc:
+        if append:  # back to the bytes and mtime the summary describes
+            size, mtime_ns = store._state[:2]
+            os.truncate(path, size)
+            os.utime(path, ns=(os.stat(path).st_atime_ns, mtime_ns))
+        elif tmp is not None and os.path.lexists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):
+            exc.filename = path  # the store, not the write or its .tmp
+        raise
     if stat.S_ISREG(st.st_mode):
         _write_summary(store, path, st)
+
+
+def _write_rows(path: str, how: str, records: list,
+                mode: int | None = None) -> os.stat_result:
+    """Write `records` to `path` opened with `how` ("w" writes the header
+    first), with `mode`'s permission bits if given; the file's stat."""
+    with open(path, how, newline="", encoding="utf-8") as handle:
+        if mode is not None:
+            os.fchmod(handle.fileno(), stat.S_IMODE(mode))
+        writer = csv.writer(handle, lineterminator="\n")
+        if how == "w":
+            writer.writerow(STORE_FIELDS)
+        writer.writerows(records)
+        handle.flush()
+        return os.fstat(handle.fileno())
 
 
 def _write_summary(store: DataStore, path: str, st: os.stat_result) -> None:

@@ -218,6 +218,10 @@ def infer_literal(text: str):
 # parsing
 
 
+class _Doctype(Exception):
+    """Stops the parse at a DOCTYPE, before any entity is declared or expanded."""
+
+
 class _TreeBuilder:
     """expat handlers that assemble the RawElement tree."""
 
@@ -247,6 +251,14 @@ class _TreeBuilder:
     def end(self, tag: str) -> None:
         self._stack.pop()
 
+    def doctype(self, name: str, *_) -> None:
+        # a DTD's entities could expand one name into megabytes of text
+        self.diagnostics.append(Diagnostic(
+            ERROR, self._parser.CurrentLineNumber,
+            self._parser.CurrentColumnNumber + 1, "doctype",
+            f"DOCTYPE {name} is not allowed: a tree file declares no DTD"))
+        raise _Doctype
+
     def text(self, data: str) -> None:
         if data.strip():
             self.diagnostics.append(Diagnostic(
@@ -261,8 +273,11 @@ def _read_markup(text: str) -> tuple[RawElement | None, list[Diagnostic]]:
     parser.StartElementHandler = builder.start
     parser.EndElementHandler = builder.end
     parser.CharacterDataHandler = builder.text
+    parser.StartDoctypeDeclHandler = builder.doctype
     try:
         parser.Parse(text, True)
+    except _Doctype:
+        return None, builder.diagnostics
     except expat.ExpatError as exc:
         builder.diagnostics.append(Diagnostic(
             ERROR, exc.lineno, exc.offset + 1, "xml-syntax",

@@ -1,4 +1,7 @@
+import csv
+import errno
 import itertools
+import os
 
 from adaptbt.core import (
     Fallback,
@@ -55,3 +58,26 @@ def build_engine_tree(shape, schedules, counter=None):
     cls = ENGINE_KINDS[shape[0]]
     children = [build_engine_tree(child, schedules, counter) for child in shape[1]]
     return cls(name=f"{shape[0]}{next(counter)}", children=children)
+
+
+def fail_writes_after(monkeypatch, rows):
+    """Make every csv writer write `rows` rows, flush them to its file and
+    then raise OSError(ENOSPC), as a disk that fills up part way would."""
+    real = csv.writer
+
+    class FullDisk:
+        def __init__(self, handle, **options):
+            self._handle, self._writer, self._left = handle, real(handle, **options), rows
+
+        def writerow(self, row):
+            if not self._left:
+                self._handle.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self._left -= 1
+            self._writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", FullDisk)

@@ -22,6 +22,7 @@ from adaptbt.cli import (
 from adaptbt.core import NodeStatus, TickTrace
 from adaptbt.strategies import DataStore, FTRecord, load, open_store, persist
 from adaptbt.treedef import MAX_TREE_DEPTH, parse_tree_definition
+from conftest import fail_writes_after
 
 ALL_IDS = [s.id for s in DEFAULT_STRATEGIES]
 
@@ -202,6 +203,17 @@ class TestValidate:
         assert code == 2
         stdout = capsys.readouterr().out
         assert any(line.startswith("error:") for line in stdout.splitlines())
+
+    def test_doctype_exits_two_naming_its_line(self, canonical_file, tmp_path,
+                                               capsys):
+        path = tmp_path / "doctype.xml"
+        path.write_text('<?xml version="1.0"?>\n'
+                        '<!DOCTYPE TreeDocument [<!ENTITY e "x">]>\n'
+                        + canonical_file.read_text())
+        code = main(["validate", "--tree", str(path)])
+        assert code == 2
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("error:2:") and ":doctype:" in line
 
     def test_unreadable_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "absent.xml"
@@ -444,6 +456,26 @@ class TestTick:
                      "--data-store", str(tmp_path / "store.csv")])
         assert code == 2
         assert capsys.readouterr().err == "error: No space left on device\n"
+
+    @pytest.mark.parametrize("command", ["run", "tick"])
+    def test_full_disk_keeps_the_store(self, canonical_file, tmp_path, capsys,
+                                       monkeypatch, command):
+        # run rewrites the store whole; the second tick appends to it
+        path = tmp_path / "store.csv"
+        config = write_config(tmp_path, {"device": "stiff", "trial": 1})
+        tick = ["tick", "--tree", str(canonical_file), "--config", str(config),
+                "--seed", "5", "--data-store", str(path)]
+        assert main(tick) in (0, 1)
+        before = path.read_bytes()
+        write_config(tmp_path, {"device": "stiff", "trial": 2})
+        capsys.readouterr()
+        fail_writes_after(monkeypatch, 1)
+        argv = tick if command == "tick" else [
+            "run", "--experiment", "A", "--behavior", "low", "--trials", "1",
+            "--data-store", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: No space left on device\n"
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("conflict", [False, True], ids=["foreign", "conflict"])
     def test_store_changed_during_tick_is_merged(self, canonical_file, tmp_path,

@@ -1,9 +1,11 @@
 import dataclasses
+import errno
 import functools
 import math
 import os
 import random
 import re
+import stat
 import zlib
 from unittest import mock
 
@@ -39,6 +41,7 @@ from adaptbt.strategies import (
     remap_handle_angle,
     select_strategy,
 )
+from conftest import fail_writes_after
 
 S = NodeStatus.SUCCESS
 F = NodeStatus.FAILURE
@@ -990,6 +993,72 @@ class TestStoreSummary:
         store.record("v", 1, 1, 0.1, 0.3)
         persist(store, os.devnull)
         assert not os.path.exists(os.devnull + ".summary")
+
+
+class TestFailedWrite:
+    """A persist that raises part way leaves the store file as it was, and
+    its summary still opens it."""
+
+    def stored(self, tmp_path):
+        """A persisted store of 60 trials of device v, and its file."""
+        path = tmp_path / "store.csv"
+        store = DataStore()
+        for trial in range(1, 61):
+            store.record("v", trial, 1, 0.1 * trial, 0.01 * trial)
+        persist(store, path)
+        return path
+
+    def assert_kept(self, path, before, trial):
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) \
+            == [path.name, summary_path(path).name]
+        with mock.patch.object(strategies, "load", wraps=load) as spy:
+            store = open_store(path, "v", trial)
+        spy.assert_not_called()
+        assert len(store) == len(load(path)) == 60
+
+    # the header and 60 rows are on file before the new row
+    @pytest.mark.parametrize("rows", [0, 1, 30, 61])
+    def test_failed_rewrite_keeps_the_file(self, tmp_path, monkeypatch, rows):
+        path = self.stored(tmp_path)
+        before = path.read_bytes()
+        store = load(path)  # a loaded store is rewritten whole
+        store.record("v", 61, 1, 0.5, 0.5)
+        fail_writes_after(monkeypatch, rows)
+        with pytest.raises(OSError) as caught:
+            persist(store, path)
+        monkeypatch.undo()
+        assert (caught.value.errno, caught.value.filename) == (errno.ENOSPC, str(path))
+        self.assert_kept(path, before, 62)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_failed_append_is_cut_back(self, tmp_path, monkeypatch, rows):
+        path = self.stored(tmp_path)
+        before = path.read_bytes()
+        store = open_store(path, "v", 61)
+        assert type(store) is not DataStore
+        for attempt in range(1, 4):
+            store.record("v", 61, attempt, 0.1 * attempt, 0.5)
+        fail_writes_after(monkeypatch, rows)
+        with pytest.raises(OSError) as caught:
+            persist(store, path)
+        monkeypatch.undo()
+        assert (caught.value.errno, caught.value.filename) == (errno.ENOSPC, str(path))
+        self.assert_kept(path, before, 61)
+
+    def test_rewrite_through_a_symlink_keeps_the_link_and_mode(self, tmp_path):
+        target = self.stored(tmp_path)
+        os.chmod(target, 0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        store = load(link)
+        store.record("v", 61, 1, 0.5, 0.5)
+        persist(store, link)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert load(target).records == store.records
+        assert not os.path.exists(f"{target}.tmp")
+        assert type(open_store(link, "v", 62)) is not DataStore
 
 
 def tick_leaf(factory, ports, bb):

@@ -94,6 +94,31 @@ class TestParsing:
         assert errors[0].rule == "xml-syntax"
         assert errors[0].line == 2
 
+    # a five-level entity chain names a node with 4**5 copies of "a"
+    ENTITY_CHAIN = ('[\n' + "".join(
+        f'<!ENTITY e{i} "{(f"&e{i - 1};" if i else "a") * 4}">\n'
+        for i in range(5)) + ']')
+
+    @pytest.mark.parametrize("declaration", [
+        f"<!DOCTYPE TreeDocument {ENTITY_CHAIN}>",
+        '<!DOCTYPE TreeDocument SYSTEM "tree.dtd">',
+        "<!DOCTYPE TreeDocument>",
+    ], ids=["internal-subset", "system", "bare"])
+    def test_doctype_rejected_at_its_line(self, declaration):
+        name = "&e4;" if "ENTITY" in declaration else "x"
+        text = ('<?xml version="1.0"?>\n' + declaration + "\n"
+                + doc(f'<Tree id="Main"><AlwaysSuccess name="{name}"/></Tree>'))
+        result = parse_tree_definition(text)
+        # the parse stops at the declaration: no entity is expanded
+        assert result.document is None
+        [error] = result.diagnostics
+        assert (error.line, error.rule) == (2, "doctype")
+        assert "TreeDocument" in error.message
+
+    def test_xml_declaration_accepted(self):
+        parse_ok('<?xml version="1.0" encoding="UTF-8"?>\n'
+                 + doc('<Tree id="Main"><AlwaysSuccess/></Tree>'))
+
     def test_unknown_node_kind(self):
         errors = parse_errors(doc('<Tree id="Main"><Teleport/></Tree>'))
         assert any(e.rule == "unknown-node" and "Teleport" in e.message
