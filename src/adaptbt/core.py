@@ -308,8 +308,9 @@ class _Composite(TreeNode):
     # (per child (node, name, Running entry, bound _tick), child count,
     # stops_on, exhausted, reactive), built at the first tick: children are
     # fixed at construction. This loop serves every composite and child
-    # class, and CPython caches one class per attribute load, so loads of
-    # those attributes here would stay unspecialized; tuple items do not.
+    # class, and CPython caches one class per attribute load, so attribute
+    # loads here would stay unspecialized; tuple items do not. It walks the
+    # tuple by index: no range object per visit and no slice per halt.
     _plan = None
 
     def __init__(self, name: str | None = None,
@@ -329,13 +330,12 @@ class _Composite(TreeNode):
     def _tick(self, trace: TickTrace) -> NodeStatus:
         # Each child's visit is execute_tick's, inlined: one Python call
         # per visit instead of two on the engine's busiest path.
-        plan = self._plan
-        if plan is None:
-            plan = self._build_plan()
-        visits, count, stops_on, exhausted, reactive = plan
+        visits, count, stops_on, exhausted, reactive = self._plan or self._build_plan()
         entries = trace.entries
-        for index in range(0 if reactive else self._cursor, count):
+        index = 0 if reactive else self._cursor
+        while index < count:
             child, name, entered, tick = visits[index]
+            index += 1
             slot = len(entries)
             entries.append(entered)
             try:
@@ -349,11 +349,13 @@ class _Composite(TreeNode):
             child.status = status
             if status is _RUNNING or status is stops_on:
                 if reactive:
-                    for later in self.children[index + 1:]:
+                    while index < count:
+                        later = visits[index][0]
                         if later.status is not _IDLE:
                             later.halt()
+                        index += 1
                 else:
-                    self._cursor = index if status is _RUNNING else 0
+                    self._cursor = index - 1 if status is _RUNNING else 0
                 return status
         self._cursor = 0
         return exhausted
@@ -509,10 +511,7 @@ class ForceFailure(TreeNode):
         super().__init__(name, [child])
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
-        status = self.children[0].execute_tick(trace)
-        if status is _RUNNING:
-            return _RUNNING
-        return _FAILURE
+        return _RUNNING if self.children[0].execute_tick(trace) is _RUNNING else _FAILURE
 
 
 class SubTreeScope(TreeNode):
@@ -627,8 +626,7 @@ def tick_root(tree: TreeNode, blackboard: Blackboard) -> tuple[NodeStatus, TickT
     elif tree.bb is not blackboard:
         raise ConfigurationError("tree is bound to a different blackboard")
     trace = TickTrace()
-    status = tree.execute_tick(trace)
-    return status, trace
+    return tree.execute_tick(trace), trace
 
 
 def iter_nodes(root: TreeNode) -> Iterator[TreeNode]:

@@ -219,7 +219,7 @@ def infer_literal(text: str):
 
 
 class _Doctype(Exception):
-    """Stops the parse at a DOCTYPE, before any entity is declared or expanded."""
+    """Stops the parse at a DOCTYPE, before any entity is expanded: (message, byte index)."""
 
 
 class _TreeBuilder:
@@ -253,11 +253,8 @@ class _TreeBuilder:
 
     def doctype(self, name: str, *_) -> None:
         # a DTD's entities could expand one name into megabytes of text
-        self.diagnostics.append(Diagnostic(
-            ERROR, self._parser.CurrentLineNumber,
-            self._parser.CurrentColumnNumber + 1, "doctype",
-            f"DOCTYPE {name} is not allowed: a tree file declares no DTD"))
-        raise _Doctype
+        raise _Doctype(f"DOCTYPE {name} is not allowed: a tree file declares no DTD",
+                       self._parser.CurrentByteIndex)
 
     def text(self, data: str) -> None:
         if data.strip():
@@ -276,7 +273,12 @@ def _read_markup(text: str) -> tuple[RawElement | None, list[Diagnostic]]:
     parser.StartDoctypeDeclHandler = builder.doctype
     try:
         parser.Parse(text, True)
-    except _Doctype:
+    except _Doctype as stop:
+        # expat fires where the header ends: report its "<", lines split as expat's
+        head = text.encode()[:stop.args[1]]
+        lines = (head[:head.rfind(b"<!DOCTYPE")] + b"<").splitlines()
+        builder.diagnostics.append(Diagnostic(ERROR, len(lines), len(lines[-1].decode()),
+                                              "doctype", stop.args[0]))
         return None, builder.diagnostics
     except expat.ExpatError as exc:
         builder.diagnostics.append(Diagnostic(

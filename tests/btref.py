@@ -7,7 +7,10 @@ tick counts are global and never rewind: they model an environment evolving
 over time, not node-local state.
 
 State is held externally: a dict from node path to the resume cursor of
-memory composites. Halting a subtree drops every cursor under its path.
+memory composites, and from leaf path to the leaf's last status. Halting a
+subtree drops every cursor under its path, counts one halt (`halts`, by
+leaf name) for each leaf under it whose last status is Running, and drops
+the last status of every leaf under it: the leaf is idle again.
 
 Each tick also records `trace`: the pre-order list of (name, status) of the
 nodes it visited, each with the status its visit returned. Nodes are named
@@ -28,6 +31,8 @@ class ReferenceTree:
         self.schedules = schedules
         self.cursors = {}
         self.leaf_ticks = {}
+        self.leaf_status = {}
+        self.halts = {}
         self.names = {}
         self._name(shape, (), itertools.count())
         self.trace = []
@@ -47,6 +52,10 @@ class ReferenceTree:
     def _drop(self, path):
         depth = len(path)
         self.cursors = {p: c for p, c in self.cursors.items() if p[:depth] != path}
+        for leaf in [p for p in self.leaf_status if p[:depth] == path]:
+            if self.leaf_status.pop(leaf) == RUNNING:
+                name = self.names[leaf]
+                self.halts[name] = self.halts.get(name, 0) + 1
 
     def _tick(self, node, path):
         slot = len(self.trace)
@@ -62,7 +71,9 @@ class ReferenceTree:
             k = self.leaf_ticks.get(leaf_id, 0)
             self.leaf_ticks[leaf_id] = k + 1
             schedule = self.schedules[leaf_id]
-            return schedule[k] if k < len(schedule) else schedule[-1]
+            status = schedule[k] if k < len(schedule) else schedule[-1]
+            self.leaf_status[path] = status
+            return status
 
         children = node[1]
         if kind == "seq":

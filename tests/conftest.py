@@ -35,18 +35,23 @@ class ScriptedLeaf(TreeNode):
     """Leaf whose k-th tick returns schedule[k] (last entry repeats).
 
     The tick count is global and survives halts on purpose: the schedule
-    models the environment changing over time.
+    models the environment changing over time. `halts` counts the halts
+    that found the leaf Running.
     """
 
     def __init__(self, schedule, name=None):
         super().__init__(name or f"leaf[{schedule}]")
         self.schedule = schedule
         self.ticks = 0
+        self.halts = 0
 
     def _tick(self, trace):
         k = min(self.ticks, len(self.schedule) - 1)
         self.ticks += 1
         return STATUS_BY_LETTER[self.schedule[k]]
+
+    def on_halted(self):
+        self.halts += 1
 
 
 def build_engine_tree(shape, schedules, counter=None):

@@ -213,7 +213,7 @@ class TestValidate:
         code = main(["validate", "--tree", str(path)])
         assert code == 2
         [line] = capsys.readouterr().out.splitlines()
-        assert line.startswith("error:2:") and ":doctype:" in line
+        assert line.startswith("error:2:1:doctype:")
 
     def test_unreadable_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "absent.xml"

@@ -4,8 +4,8 @@ Shapes cover all four composite kinds nested up to three levels with up to
 four leaves. Single-leaf shapes get every schedule of length six; larger
 shapes get seeded random schedules. Both implementations tick the same
 shape/schedule pair and must agree on the root status and the pre-order
-(name, status) trace at every tick, and on the per-leaf tick counts
-afterwards.
+(name, status) trace at every tick, and on the per-leaf tick and halt
+counts afterwards.
 """
 
 import functools
@@ -93,6 +93,11 @@ def run_case(shape, schedules):
     if engine_counts != ref_counts:
         pytest.fail(
             f"leaf tick counts diverge: engine={engine_counts} ref={ref_counts} "
+            f"shape={shape!r} schedules={schedules!r}")
+    engine_halts = {leaf.name: leaf.halts for leaf in leaves if leaf.halts}
+    if engine_halts != ref.halts:
+        pytest.fail(
+            f"leaf halt counts diverge: engine={engine_halts} ref={ref.halts} "
             f"shape={shape!r} schedules={schedules!r}")
 
 

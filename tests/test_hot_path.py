@@ -107,31 +107,40 @@ def attribute_loads(function: ast.AST, owner: str) -> list[ast.Attribute]:
             and isinstance(node.value, ast.Name) and node.value.id == owner]
 
 
+def composite_tick() -> ast.FunctionDef:
+    tree = ast.parse((PACKAGE / "core.py").read_text(), filename="core.py")
+    composite = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "_Composite")
+    return next(node for node in composite.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_tick")
+
+
 def test_composite_loop_reads_its_prebuilt_tuple():
     # The loop serves every composite and child class, and CPython caches
     # one class per attribute load, so an attribute read here stays
     # unspecialized: the kind's fields and each child's name, entry and
-    # _tick come from the tuple built at the first tick.
-    tree = ast.parse((PACKAGE / "core.py").read_text(), filename="core.py")
-    composite = next(node for node in tree.body
-                     if isinstance(node, ast.ClassDef) and node.name == "_Composite")
-    function = next(node for node in composite.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "_tick")
-    reactive_branch = next(
-        node for node in ast.walk(function)
-        if isinstance(node, ast.If) and isinstance(node.test, ast.Name)
-        and node.test.id == "reactive")
-    halting = {id(node) for statement in reactive_branch.body
-               for node in ast.walk(statement)}
+    # _tick come from the tuple built at the first tick, and so do the
+    # later children a reactive halt visits.
+    function = composite_tick()
     own = [f"self.{node.attr} (line {node.lineno})"
            for node in attribute_loads(function, "self")
-           if node.attr not in {"_plan", "_build_plan", "_cursor"}
-           and not (node.attr == "children" and id(node) in halting)]
+           if node.attr not in {"_plan", "_build_plan", "_cursor"}]
     of_child = [f"child.{node.attr} (line {node.lineno})"
                 for node in attribute_loads(function, "child")
                 if node.attr not in {"_unbound", "_invalid"}]
     assert own == []
     assert of_child == []
+
+
+def test_composite_loop_walks_its_tuple_by_index():
+    # a range object per visit, or a slice per reactive halt, is an
+    # allocation the index walk does without
+    offenders = [f"line {node.lineno}: {ast.unparse(node)}"
+                 for node in ast.walk(composite_tick())
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "range"
+                 or isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)]
+    assert offenders == []
 
 
 def test_no_instance_dict_reads_in_the_package():

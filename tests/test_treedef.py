@@ -112,8 +112,23 @@ class TestParsing:
         # the parse stops at the declaration: no entity is expanded
         assert result.document is None
         [error] = result.diagnostics
-        assert (error.line, error.rule) == (2, "doctype")
+        assert (error.line, error.col, error.rule) == (2, 1, "doctype")
         assert "TreeDocument" in error.message
+
+    @pytest.mark.parametrize("prolog,position", [
+        ("<!DOCTYPE TreeDocument>\n", (1, 1)),
+        ('<!DOCTYPE TreeDocument\n  SYSTEM "tree.dtd">\n', (1, 1)),
+        ('<?xml version="1.0"?>\n<!-- c -->\n  <!DOCTYPE TreeDocument [\n'
+         '<!ENTITY e "x">]>\n', (3, 3)),
+        # lines end at \r\n or a lone \r as well; a column counts characters
+        ("<!-- <!DOCTYPE -->\r\n\r<!--é--> <!DOCTYPE TreeDocument\r\n>\n", (3, 10)),
+    ], ids=["bare", "split-header", "after-comment", "crlf"])
+    def test_doctype_reported_at_its_open_bracket(self, prolog, position):
+        # expat reports the event where the header ends, not where it starts
+        result = parse_tree_definition(
+            prolog + doc('<Tree id="Main"><AlwaysSuccess/></Tree>'))
+        [error] = result.diagnostics
+        assert (error.line, error.col, error.rule) == (*position, "doctype")
 
     def test_xml_declaration_accepted(self):
         parse_ok('<?xml version="1.0" encoding="UTF-8"?>\n'
