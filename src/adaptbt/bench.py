@@ -23,7 +23,6 @@ from typing import Callable
 
 from .core import (
     Blackboard,
-    LAST_FAILURE_REASON,
     NO_STRATEGIES,
     NodeStatus,
     RetryUntilSuccessful,
@@ -284,7 +283,6 @@ def canonical_tree_text(strategy_ids: list[str]) -> str:
             f'strategy={quote_attribute(sid)} target_angle="{{target_angle}}" '
             f'tightened_threshold="{{tightened_threshold}}" '
             f'twist_progress="{{twist_progress}}" '
-            f'{LAST_FAILURE_REASON}="{{{LAST_FAILURE_REASON}}}" '
             f'current_torque="0.0" effective_handle_angle="0.0"/>\n'
             f'          </Case>')
     cases.append(

@@ -38,10 +38,10 @@ from .bench import (
 from .core import BehaviorTreeError, NodeStatus, TickTrace, _FAILURE, \
     _RUNNING, _SUCCESS
 from .sim import DeviceInstance
-from .strategies import DataStore, StrategySpec, open_store, \
-    persist as persist_data_store, read_text
+from .strategies import DataStore, FAILURE_REASONS, StrategySpec, \
+    open_store, persist as persist_data_store, read_text
 from .treedef import InstantiationError, TreeDocument, \
-    parse_tree_definition, validate_switch_coverage
+    parse_tree_definition, validate_exempt_reasons, validate_switch_coverage
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -158,6 +158,7 @@ def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
     if result.document is not None:
         diagnostics.extend(validate_switch_coverage(
             result.document, {s.id for s in strategies}))
+        diagnostics += validate_exempt_reasons(result.document, FAILURE_REASONS)
     for diagnostic in diagnostics:
         print(diagnostic)
     if any(d.severity == "error" for d in diagnostics):

@@ -9,10 +9,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterator, Sequence as SequenceT
 
-# Reserved blackboard key: failing leaves record why they failed here, the
-# retry decorator matches it against its exempt reasons and the engine
-# clears it once an exemption is consumed.
-LAST_FAILURE_REASON = "last_failure_reason"
+UNBOUND_PREFIX = "unbound:"  # an unbound read's failure reason: this and its key
 
 # Sentinel strategy id meaning "nothing viable"; shared vocabulary between
 # the switch-coverage validator and the adaptive layer.
@@ -84,7 +81,7 @@ class Blackboard:
     Values are booleans, integers, reals or text. A child scope sees the
     parent only through explicit remaps; reads and writes of a remapped key
     resolve through the parent. Reading an unbound key raises, it never
-    returns a default.
+    returns a default. Every scope of a tree shares one `reason_cell`.
     """
 
     def __init__(self, parent: "Blackboard | None" = None,
@@ -94,6 +91,7 @@ class Blackboard:
         self.parent = parent
         self.remaps = dict(remaps or {})
         self._entries: dict[str, bool | int | float | str] = {}
+        self.reason_cell = [None] if parent is None else parent.reason_cell
 
     def slot(self, key: str) -> tuple[dict, str]:
         """The entries of the scope that owns `key` and its name there,
@@ -111,22 +109,11 @@ class Blackboard:
         except KeyError:
             raise UnboundKeyError(key) from None
 
-    def peek(self, key: str):
-        """The value under `key`, or None when it is unbound."""
-        try:
-            return self.get(key)
-        except UnboundKeyError:
-            return None
-
     def set(self, key: str, value) -> None:
         if not isinstance(value, _VALUE_TYPES):
             raise _value_type_error(value)
         entries, key = self.slot(key)
         entries[key] = value
-
-    def delete(self, key: str) -> None:
-        entries, key = self.slot(key)
-        entries.pop(key, None)
 
 
 class TickTrace:
@@ -173,10 +160,9 @@ class TreeNode:
         self.ports: dict[str, object] = dict(ports or {})
         self.status = _IDLE
         self.bb: Blackboard | None = None
-        # Resolved ports: port -> (entries, key). A Key binding resolves to
-        # the entries of the scope that owns it, a constant to
-        # (self.ports, port). Remaps are fixed once bound, and a delete pops
-        # from the same entries, so a slot stays valid.
+        # Resolved ports: port -> (entries, key), the entries of the scope
+        # that owns a Key binding, or (self.ports, port) for a constant.
+        # Remaps are fixed once bound, so a slot stays valid.
         self._slots: dict[str, tuple[dict, str]] = {}
 
     # -- wiring ---------------------------------------------------------
@@ -217,8 +203,8 @@ class TreeNode:
         entries[key] = value
 
     def fail(self, reason: str) -> NodeStatus:
-        """Record why this node failed, where a retry reads it, and return Failure."""
-        self.bb.set(LAST_FAILURE_REASON, reason)
+        """Record why this node failed in the tree's reason cell; return Failure."""
+        self.bb.reason_cell[0] = reason
         return _FAILURE
 
     def _resolve(self, port: str) -> tuple[dict, str]:
@@ -262,7 +248,7 @@ class TreeNode:
         # Unbound reads surface as Failure at the reading node.
         trace.diagnostics.append(f"{self.name}: {exc}")
         self._reset()
-        return self.fail(f"unbound:{exc.key}")
+        return self.fail(UNBOUND_PREFIX + exc.key)
 
     def _invalid(self, status) -> ConfigurationError:
         return ConfigurationError(f"{self.name} returned invalid status {status!r}")
@@ -305,9 +291,9 @@ class _Composite(TreeNode):
     exhausted: NodeStatus
     reactive: bool
 
-    # (per child (node, name, Running entry, bound _tick), child count,
-    # stops_on, exhausted, reactive), built at the first tick: children are
-    # fixed at construction. This loop serves every composite and child
+    # (per child (node, name, Running entry, bound _tick), count, stops_on,
+    # exhausted, reactive, reason cell), built at the first tick: children
+    # are fixed at construction. This loop serves every composite and child
     # class, and CPython caches one class per attribute load, so attribute
     # loads here would stay unspecialized; tuple items do not. It walks the
     # tuple by index: no range object per visit and no slice per halt.
@@ -324,13 +310,14 @@ class _Composite(TreeNode):
         visits = tuple((child, child.name, child._entered, child._tick)
                        for child in self.children)
         self._plan = (visits, len(visits), self.stops_on, self.exhausted,
-                      self.reactive)
+                      self.reactive, self.bb.reason_cell)
         return self._plan
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
         # Each child's visit is execute_tick's, inlined: one Python call
         # per visit instead of two on the engine's busiest path.
-        visits, count, stops_on, exhausted, reactive = self._plan or self._build_plan()
+        visits, count, stops_on, exhausted, reactive, cell = \
+            self._plan or self._build_plan()
         entries = trace.entries
         index = 0 if reactive else self._cursor
         while index < count:
@@ -348,6 +335,8 @@ class _Composite(TreeNode):
                 entries[slot] = (name, status)
             child.status = status
             if status is _RUNNING or status is stops_on:
+                if status is _SUCCESS and index > 1:
+                    cell[0] = None  # a Fallback recovered from the failures before it
                 if reactive:
                     while index < count:
                         later = visits[index][0]
@@ -403,10 +392,10 @@ class ReactiveFallback(_Composite):
 class RetryUntilSuccessful(TreeNode):
     """Re-ticks the child after a Failure, up to num_attempts non-exempt failures.
 
-    A failure whose recorded reason is one of `exempt_reasons` restarts the
-    child without consuming an attempt; the engine clears the reason flag
-    after consuming such an exemption. `history` and `attempts_consumed` are
-    observability attributes for harnesses and survive resets.
+    A failure whose reason (the blackboard's reason cell) is one of
+    `exempt_reasons` restarts the child without consuming an attempt and
+    clears the cell. `history` and `attempts_consumed` are observability
+    attributes for harnesses and survive resets.
     """
 
     def __init__(self, child: TreeNode, num_attempts,
@@ -432,11 +421,11 @@ class RetryUntilSuccessful(TreeNode):
             self.attempts_consumed = self._failures + 1
             self._failures = 0
             return _SUCCESS
-        reason = self.bb.peek(LAST_FAILURE_REASON)
+        reason = self.bb.reason_cell[0]
         exempt = reason in self.exempt_reasons
-        self.history.append((reason if isinstance(reason, str) else "", exempt))
+        self.history.append((reason or "", exempt))
         if exempt:
-            self.bb.delete(LAST_FAILURE_REASON)
+            self.bb.reason_cell[0] = None
             self.children[0].halt()
             return _RUNNING
         self._failures += 1

@@ -35,6 +35,7 @@ STRATEGY_SWITCH = "strategy_switch"
 GENUINE = "genuine"
 CONFIG = "config"  # a strategy window cannot hold the device symmetry
 EXEMPT_REASONS = (REGRASP, STRATEGY_SWITCH)
+FAILURE_REASONS = frozenset({*EXEMPT_REASONS, GENUINE, CONFIG})
 
 # module globals: on the hot path a global load is cheaper than an attribute load
 _INF = math.inf

@@ -44,6 +44,7 @@ from .core import (
     SubTreeScope,
     SwitchStatement,
     TreeNode,
+    UNBOUND_PREFIX,
     iter_nodes,
 )
 
@@ -626,6 +627,15 @@ def validate_switch_coverage(doc: TreeDocument,
                     WARNING, el.line, el.col, "switch-coverage",
                     f"case {extra!r} matches no registered strategy id"))
     return out
+
+
+def validate_exempt_reasons(doc: TreeDocument, known: set[str]) -> list[Diagnostic]:
+    """An error, at its retry, for each exempt reason no node fails with."""
+    return [Diagnostic(ERROR, el.line, el.col, "exempt-reason",
+                       f"exempt reason {reason!r} is not a known failure reason")
+            for node in doc.trees.values() for el in iter_nodes(node)
+            if el.tag == "RetryUntilSuccessful" for reason in el.resolved[1]
+            if reason not in known and not reason.startswith(UNBOUND_PREFIX)]
 
 
 # ---------------------------------------------------------------------------

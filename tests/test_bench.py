@@ -277,6 +277,17 @@ class TestEpisodes:
                              document=parse_tree_definition(text).document)
         assert "unbound:nosuch" in result.failure_reasons
 
+    def test_reading_the_old_reason_key_is_unbound(self):
+        # no blackboard key carries the failure reason: a port bound to the
+        # old key's name reads nothing, and says so in the reasons
+        text = canonical_tree_text(ALL_IDS).replace(
+            'target_angle="{target_angle}"', 'target_angle="{last_failure_reason}"', 1)
+        result = run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES,
+                             DataStore(), trial_rng(SEED, 0), trial=1,
+                             target_angle=7.0, num_attempts=2,
+                             document=parse_tree_definition(text).document)
+        assert "unbound:last_failure_reason" in result.failure_reasons
+
     def test_attempt_accounting_invariant(self):
         # consumed attempts = genuine failures + 1, capped at the budget
         cfg = make_config("B", "high", SEED, trials=6)

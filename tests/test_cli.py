@@ -301,6 +301,42 @@ class TestValidate:
         assert captured.out.startswith(f"error:{line}:")
         assert "episode:" not in captured.out
 
+    def test_unknown_exempt_reason_fails_validate_and_tick(self, tmp_path,
+                                                           capsys):
+        # a misspelt reason would exempt nothing, and the tick below would
+        # charge each strategy switch
+        text = canonical_tree_text(ALL_IDS)
+        start = text.index("<RetryUntilSuccessful")
+        line = text[:start].count("\n") + 1
+        col = start - text.rfind("\n", 0, start)
+        tree = tmp_path / "typo.xml"
+        tree.write_text(text.replace('exempt_reasons="regrasp;strategy_switch"',
+                                     'exempt_reasons="regrsp;strategy_swtich"'))
+        assert main(["validate", "--tree", str(tree)]) == 2
+        stdout = capsys.readouterr().out
+        assert stdout == "".join(
+            f"error:{line}:{col}:exempt-reason:exempt reason {reason!r} "
+            f"is not a known failure reason\n"
+            for reason in ("regrsp", "strategy_swtich"))
+        config = write_config(tmp_path, {"device": "stiff"})
+        assert main(["tick", "--tree", str(tree), "--config", str(config),
+                     "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert "episode:" not in captured.out
+
+    @pytest.mark.parametrize("reasons", [
+        "", "regrasp", "genuine;config", "unbound:strategy_id",
+        "strategy_switch;unbound:nosuch"])
+    def test_known_exempt_reasons_pass_validate(self, tmp_path, capsys,
+                                                reasons):
+        tree = tmp_path / "known.xml"
+        tree.write_text(canonical_tree_text(ALL_IDS).replace(
+            'exempt_reasons="regrasp;strategy_switch"',
+            f'exempt_reasons="{reasons}"'))
+        assert main(["validate", "--tree", str(tree)]) == 0
+        assert capsys.readouterr().out == f"{tree}: ok\n"
+
     @pytest.mark.parametrize("num_attempts", ["0", "-3"])
     def test_num_attempts_below_one_fails_validate_and_tick(self, tmp_path, capsys,
                                                              num_attempts):
@@ -631,6 +667,23 @@ class TestTick:
         assert code == 0
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    def test_old_reason_remap_changes_nothing(self, canonical_file, tmp_path,
+                                              capsys):
+        # trees written when a blackboard key carried the failure reason
+        # remap it through each SubTree; that remap is now an unused key
+        old = tmp_path / "old_remap.xml"
+        old.write_text(canonical_file.read_text().replace(
+            'current_torque="0.0"',
+            'last_failure_reason="{last_failure_reason}" current_torque="0.0"'))
+        assert old.read_text().count("last_failure_reason=") == len(ALL_IDS)
+        config = write_config(tmp_path, {"device": "stiff"})
+        outputs = []
+        for tree in (canonical_file, old):
+            assert main(["tick", "--tree", str(tree), "--config", str(config),
+                         "--seed", "5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
     def test_tree_without_retry_reports_one_attempt(self, tmp_path, capsys):
         tree = tmp_path / "one.xml"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from adaptbt.core import (
@@ -9,7 +11,6 @@ from adaptbt.core import (
     Fallback,
     ForceFailure,
     Key,
-    LAST_FAILURE_REASON,
     NodeStatus,
     ReactiveFallback,
     ReactiveSequence,
@@ -86,7 +87,6 @@ class TestBlackboard:
         bb = Blackboard()
         with pytest.raises(UnboundKeyError):
             bb.get("missing")
-        assert bb.peek("missing") is None
 
     def test_rejects_untyped_values(self):
         bb = Blackboard()
@@ -110,12 +110,14 @@ class TestBlackboard:
         inner.set("x", 2)
         assert outer.get("x") == 1
 
-    def test_delete_through_remap(self):
+    def test_child_scopes_share_the_outermost_reason_cell(self):
         outer = Blackboard()
-        outer.set("r", "regrasp")
-        inner = Blackboard(parent=outer, remaps={"reason": "r"})
-        inner.delete("reason")
-        assert outer.peek("r") is None
+        inner = Blackboard(parent=outer, remaps={})
+        innermost = Blackboard(parent=inner, remaps={"x": "y"})
+        assert outer.reason_cell == [None]
+        assert inner.reason_cell is outer.reason_cell
+        assert innermost.reason_cell is outer.reason_cell
+        assert Blackboard().reason_cell is not outer.reason_cell
 
 
 class TestSequence:
@@ -256,7 +258,7 @@ class TestRetry:
         assert tree.attempts_consumed == 1
         assert tree.history == [("regrasp", True)] * 3
         # the engine cleared the reason after consuming the exemption
-        assert bb.peek(LAST_FAILURE_REASON) is None
+        assert bb.reason_cell == [None]
 
     def test_invalid_attempt_count(self):
         bb = Blackboard()
@@ -453,7 +455,8 @@ class TestSubTreeScope:
                              seeds={"gain": 2}, name="scope")
         assert tick_root(scope, bb)[0] is S
         assert bb.get("valve_angle") == 2.0
-        assert bb.peek("gain") is None
+        with pytest.raises(UnboundKeyError):
+            bb.get("gain")
 
 
 def tick_count(trace, name):
@@ -670,4 +673,89 @@ def test_visit_is_recorded_alike_on_every_path(case, path):
         ticks.append((status, [e for e in trace.entries if e[0] == "probe"],
                       trace.diagnostics))
     assert ticks == want_ticks
-    assert (leaf.status, leaf.resets, leaf.bb.peek(LAST_FAILURE_REASON)) == want_end
+    # the reason reaches the root scope from inside a SubTreeScope too
+    assert (leaf.status, leaf.resets, bb.reason_cell[0]) == want_end
+
+
+class FailsWith(TreeNode):
+    """Leaf that fails with `reason` on its first `times` ticks, then succeeds."""
+
+    def __init__(self, reason, times=math.inf, name="fails"):
+        super().__init__(name)
+        self.reason = reason
+        self.left = times
+
+    def _tick(self, trace):
+        if self.left <= 0:
+            return S
+        self.left -= 1
+        return self.fail(self.reason)
+
+
+class TestFailureReason:
+    def test_reason_is_no_blackboard_entry(self):
+        bb = Blackboard()
+        assert tick_root(FailsWith("regrasp"), bb)[0] is F
+        assert bb.reason_cell == ["regrasp"]
+        with pytest.raises(UnboundKeyError):
+            bb.get("last_failure_reason")
+
+    def test_reason_in_a_subtree_reaches_the_retry(self):
+        # no remap carries the reason out of the scope: the cell is shared
+        leaf = FailsWith("regrasp", times=1)
+        tree = RetryUntilSuccessful(
+            SubTreeScope(Sequence("inner", [leaf]), name="scope"),
+            num_attempts=3, exempt_reasons=("regrasp",), name="retry")
+        bb = Blackboard()
+        assert [tick_root(tree, bb)[0] for _ in range(2)] == [R, S]
+        assert tree.history == [("regrasp", True)]
+        assert tree.attempts_consumed == 1
+
+    # the recovering child succeeds at once, or after a Running tick
+    @pytest.mark.parametrize("kind", [Fallback, ReactiveFallback])
+    @pytest.mark.parametrize("recovery,ticks", [("S", 3), ("RS", 4)])
+    def test_recovered_failure_leaves_no_reason(self, kind, recovery, ticks):
+        # a later reason-less failure of the attempt is charged, not given
+        # the exemption of a failure the fallback recovered from
+        recovered = kind("recover", [FailsWith("regrasp"),
+                                     ScriptedLeaf(recovery, name="plan_b")])
+        tree = RetryUntilSuccessful(
+            Sequence("attempt", [recovered, AlwaysFailure("then_fail")]),
+            num_attempts=3, exempt_reasons=("regrasp",), name="retry")
+        bb = Blackboard()
+        statuses = [tick_root(tree, bb)[0] for _ in range(ticks)]
+        assert statuses == [R] * (ticks - 1) + [F]
+        assert tree.history == [("", False)] * 3
+        assert tree.attempts_consumed == 3
+
+    def test_failed_fallback_keeps_the_reason(self):
+        # the canonical tree's bail path: the retract runs, the fallback
+        # fails, and the twist's reason still exempts the attempt
+        bail = Fallback("manipulate_or_bail", [
+            FailsWith("regrasp", times=1),
+            ForceFailure(AlwaysSuccess("bail_retract"))])
+        tree = RetryUntilSuccessful(bail, num_attempts=1,
+                                    exempt_reasons=("regrasp",), name="retry")
+        bb = Blackboard()
+        assert [tick_root(tree, bb)[0] for _ in range(2)] == [R, S]
+        assert tree.history == [("regrasp", True)]
+        assert bb.reason_cell == [None]
+
+    # the first child succeeds at once, or after a Running tick
+    @pytest.mark.parametrize("kind", [Fallback, ReactiveFallback])
+    @pytest.mark.parametrize("first", ["S", "RS"])
+    def test_first_child_success_keeps_the_reason(self, kind, first):
+        # a fallback whose first child succeeds recovered from nothing: a
+        # reason written before it, here by the bail branch's sibling, stays
+        inner = kind("inner", [ScriptedLeaf(first, name="first"),
+                               AlwaysSuccess("second")])
+        bail = Fallback("manipulate_or_bail", [
+            FailsWith("regrasp", times=1), ForceFailure(inner)])
+        tree = RetryUntilSuccessful(bail, num_attempts=1,
+                                    exempt_reasons=("regrasp",), name="retry")
+        bb = Blackboard()
+        ticks = len(first) + 1
+        statuses = [tick_root(tree, bb)[0] for _ in range(ticks)]
+        assert statuses == [R] * (ticks - 1) + [S]
+        assert tree.history == [("regrasp", True)]
+        assert tree.attempts_consumed == 1

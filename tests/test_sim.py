@@ -7,7 +7,6 @@ from adaptbt.bench import EpisodeProbe
 from adaptbt.core import (
     Blackboard,
     Key,
-    LAST_FAILURE_REASON,
     NodeStatus,
     ReactiveSequence,
     tick_root,
@@ -170,7 +169,7 @@ class TestMotionSegments:
         leaf = MotionSegment("grasp", STRATEGY_PORT, world, REGISTRY, "grasp")
         status, _ = tick_root(leaf, bb)
         assert status is F
-        assert bb.get(LAST_FAILURE_REASON) == GENUINE
+        assert bb.reason_cell == [GENUINE]
 
     def test_grasp_adopts_planned_pose(self):
         world = World(plain_valve(handle_angle=5.0))
@@ -208,7 +207,7 @@ class TestMotionSegments:
                              {"low_torque": spec}, "approach")
         status, ticks = self.run_leaf(leaf, bb, world)
         assert status is F
-        assert bb.get(LAST_FAILURE_REASON) == GENUINE
+        assert bb.reason_cell == [GENUINE]
         assert 1 <= ticks < 80
         assert not world.approached
 
@@ -304,8 +303,8 @@ class TestManipulateTarget:
             world.advance()
             assert bb.get("effective_handle_angle") <= math.pi + step + 1e-9
             if status is F:
-                assert bb.get(LAST_FAILURE_REASON) == REGRASP
-                bb.delete(LAST_FAILURE_REASON)
+                assert bb.reason_cell == [REGRASP]
+                bb.reason_cell[0] = None
                 regrasps += 1
                 segments.append(bb.get("twist_progress") - segment_start)
                 segment_start = bb.get("twist_progress")
@@ -370,7 +369,7 @@ class TestManipulateTarget:
                                  EpisodeProbe())
         status, _ = tick_root(manip, bb)
         assert status is F
-        assert bb.get(LAST_FAILURE_REASON) == GENUINE
+        assert bb.reason_cell == [GENUINE]
 
     def test_met_target_succeeds_without_twisting(self):
         world, store, bb, lookup, loop = self.setup_episode(1.0, plain_valve())
@@ -415,7 +414,7 @@ class TestLookupPose:
         world = World(plain_valve(symmetry_order=2))
         status, bb = self.lookup(world, registry)
         assert status is F
-        assert bb.get(LAST_FAILURE_REASON) == "config"
+        assert bb.reason_cell == ["config"]
 
 
 class TestDeviceInstance:

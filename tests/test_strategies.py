@@ -16,7 +16,6 @@ from adaptbt.bench import EpisodeProbe
 from adaptbt.core import (
     Blackboard,
     Key,
-    LAST_FAILURE_REASON,
     NO_STRATEGIES,
     NodeStatus,
     tick_root,
@@ -1110,7 +1109,7 @@ class TestDecisionLeaves:
                            {"torque": Key("current_torque"),
                             "threshold": Key("tightened_threshold")}, bb)
         assert status is expected
-        assert bb.peek(LAST_FAILURE_REASON) is None
+        assert bb.reason_cell == [None]
 
     def ports_for_angle(self):
         return {"angle": Key("effective_handle_angle"), "strategy": Key("strategy_id")}
@@ -1125,9 +1124,9 @@ class TestDecisionLeaves:
                            self.ports_for_angle(), bb)
         assert status is expected
         if expected is F:
-            assert bb.get(LAST_FAILURE_REASON) == REGRASP
+            assert bb.reason_cell == [REGRASP]
         else:
-            assert bb.peek(LAST_FAILURE_REASON) is None
+            assert bb.reason_cell == [None]
 
     @pytest.mark.parametrize("torque,strategy,expected", [
         (0.49, "low_torque", S), (0.51, "low_torque", F), (4.0, "high_torque", S)])
@@ -1140,7 +1139,7 @@ class TestDecisionLeaves:
                             "strategy": Key("strategy_id")}, bb)
         assert status is expected
         if expected is F:
-            assert bb.get(LAST_FAILURE_REASON) == STRATEGY_SWITCH
+            assert bb.reason_cell == [STRATEGY_SWITCH]
 
     def test_reason_vocabulary(self):
         assert REGRASP in EXEMPT_REASONS

@@ -15,6 +15,7 @@ from adaptbt.core import (
     RetryUntilSuccessful,
     Sequence,
     StatefulAction,
+    UnboundKeyError,
     tick_root,
 )
 from adaptbt.treedef import (
@@ -577,7 +578,8 @@ class TestInstantiation:
         assert status is S
         assert trace.diagnostics == []
         assert bb.get("valve_angle") == 3.5
-        assert bb.peek("gain") is None
+        with pytest.raises(UnboundKeyError):
+            bb.get("gain")
 
     @pytest.mark.parametrize("seed", ["nan", "-inf"])
     def test_non_finite_subtree_seed(self, seed):
