@@ -419,6 +419,7 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
         raise BenchError(f"episode exceeded {max_ticks} ticks")
 
     history = retry.history if retry is not None else []
+    charged = sum(not exempt for _, exempt in history)  # plus one for a success
     reasons = [reason for reason, _ in history]
     if probe.selections and probe.selections[-1][0] == NO_STRATEGIES:
         reasons.append(NO_STRATEGIES)
@@ -426,7 +427,8 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
         trial=trial,
         device_id=device.id,
         success=status is _SUCCESS,
-        attempts_consumed=retry.attempts_consumed if retry is not None else 1,
+        attempts_consumed=(charged + (retry.status is _SUCCESS)
+                           if retry is not None else 1),
         sim_time=world.sim_time,
         strategy_sequence=probe.strategy_sequence(),
         failure_reasons=tuple(reasons))

@@ -135,7 +135,9 @@ def devices_from_config(config: dict) -> dict[str, DeviceInstance]:
         if not isinstance(fields, dict):
             raise ConfigError(f"device {device_id!r}: fields must be an object")
         merged = dict(fields)
-        merged.pop("id", None)
+        if merged.pop("id", device_id) != device_id:
+            raise ConfigError(
+                f"device {device_id!r}: id must match its key, got {fields['id']!r}")
         base = devices.get(device_id)
         try:
             if base is None:

@@ -392,10 +392,11 @@ class ReactiveFallback(_Composite):
 class RetryUntilSuccessful(TreeNode):
     """Re-ticks the child after a Failure, up to num_attempts non-exempt failures.
 
-    A failure whose reason (the blackboard's reason cell) is one of
-    `exempt_reasons` restarts the child without consuming an attempt and
-    clears the cell. `history` and `attempts_consumed` are observability
-    attributes for harnesses and survive resets.
+    A failure whose reason (the tree's reason cell) is one of `exempt_reasons`
+    restarts the child without consuming an attempt. Every restart clears the
+    cell, so a `history` entry (reason, exempt) names only its own failure;
+    the failure that exhausts the limit keeps its reason for the nodes above.
+    `history`, the harnesses' one tally of attempts, survives resets.
     """
 
     def __init__(self, child: TreeNode, num_attempts,
@@ -405,7 +406,6 @@ class RetryUntilSuccessful(TreeNode):
         self.exempt_reasons = frozenset(exempt_reasons)
         self._failures = 0
         self.history: list[tuple[str, bool]] = []
-        self.attempts_consumed = 0
 
     def _tick(self, trace: TickTrace) -> NodeStatus:
         limit = self.input("num_attempts")
@@ -418,21 +418,17 @@ class RetryUntilSuccessful(TreeNode):
         if status is _RUNNING:
             return _RUNNING
         if status is _SUCCESS:
-            self.attempts_consumed = self._failures + 1
             self._failures = 0
             return _SUCCESS
         reason = self.bb.reason_cell[0]
         exempt = reason in self.exempt_reasons
         self.history.append((reason or "", exempt))
-        if exempt:
-            self.bb.reason_cell[0] = None
-            self.children[0].halt()
-            return _RUNNING
-        self._failures += 1
-        if self._failures >= limit:
-            self.attempts_consumed = self._failures
-            self._failures = 0
-            return _FAILURE
+        if not exempt:
+            self._failures += 1
+            if self._failures >= limit:
+                self._failures = 0
+                return _FAILURE
+        self.bb.reason_cell[0] = None
         self.children[0].halt()
         return _RUNNING
 

@@ -12,7 +12,6 @@ spike torque, which is how a tightened valve announces itself.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -28,9 +27,9 @@ class SimulationError(ConfigurationError):
     episode leaves in an order the world cannot follow."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceInstance:
-    """One concrete valve and its hidden mechanical parameters."""
+    """One valve: its hidden mechanical parameters and its handle's start angle."""
 
     id: str
     symmetry_order: int = 2
@@ -64,27 +63,28 @@ class DeviceInstance:
             raise ValueError(f"{self.id}: handle_angle exceeds the joint limit")
 
 
-def reactive_torque(device: DeviceInstance, twist_rate: float) -> float:
-    """Resistance the valve answers a commanded twist with, at its current angle."""
+def reactive_torque(device: DeviceInstance, angle: float, twist_rate: float) -> float:
+    """Resistance the valve answers a commanded twist with, at handle `angle`."""
     if twist_rate == 0.0:
         return 0.0
-    if abs(device.handle_angle) >= device.joint_limit:
+    if abs(angle) >= device.joint_limit:
         return device.limit_spike_torque
     if not device.dynamics_enabled:
         return device.static_friction
-    return (device.stiffness * abs(device.handle_angle)
+    return (device.stiffness * abs(angle)
             + device.damping * abs(twist_rate)
             + device.static_friction)
 
 
 class World:
-    """Owns the device copy, the clock and the seeded failure stream."""
+    """Owns the handle angle, the clock and the seeded failure stream."""
 
     def __init__(self, device: DeviceInstance, dt: float = 0.1,
                  rng: random.Random | None = None):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.device = dataclasses.replace(device)
+        self.device = device
+        self.handle_angle = device.handle_angle
         self.dt = dt
         self.rng = rng if rng is not None else random.Random()
         self._steps = 0
@@ -108,12 +108,12 @@ class World:
     @property
     def effective_angle(self) -> float:
         """Handle angle estimate relative to the planned grasp orientation."""
-        return self.grasp_reference + (self.device.handle_angle - self.angle_at_grasp)
+        return self.grasp_reference + (self.handle_angle - self.angle_at_grasp)
 
     def set_grasp(self, reference: float) -> None:
         self.grasped = True
         self.grasp_reference = reference
-        self.angle_at_grasp = self.device.handle_angle
+        self.angle_at_grasp = self.handle_angle
 
     def release(self) -> None:
         self.grasped = False
@@ -128,16 +128,15 @@ class World:
         """
         if not self.grasped:
             raise SimulationError("twist commanded while not grasped")
-        device = self.device
-        before = device.handle_angle
-        limit = device.joint_limit
+        before = self.handle_angle
+        limit = self.device.joint_limit
         after = before + rate * self.dt
         if after > limit:  # an infinite limit fails both tests
             after = limit
         elif after < -limit:
             after = -limit
-        device.handle_angle = after
-        return after - before, reactive_torque(device, rate)
+        self.handle_angle = after
+        return after - before, reactive_torque(self.device, after, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ class LookupPose(StatefulAction):
         spec = self.registry[self.input("strategy")]
         try:
             reference = remap_handle_angle(
-                self.world.device.handle_angle, self.world.device.symmetry_order,
+                self.world.handle_angle, self.world.device.symmetry_order,
                 spec.angle_min, spec.angle_max)
         except ValueError:
             return self.fail(CONFIG)

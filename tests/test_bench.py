@@ -42,6 +42,40 @@ def genuine_count(result: EpisodeResult) -> int:
                if r not in EXEMPT_REASONS and r != NO_STRATEGIES)
 
 
+TWICE_COMPLETED_RETRY = """\
+<TreeDocument main_tree="Main">
+  <Leaf id="LookupPose">
+    <Port name="strategy" direction="in" type="str"/>
+    <Port name="angle" direction="out" type="float"/>
+  </Leaf>
+  <Leaf id="Approach"><Port name="strategy" direction="in" type="str"/></Leaf>
+  <Leaf id="Grasp"><Port name="strategy" direction="in" type="str"/></Leaf>
+  <Leaf id="ManipulateTarget">
+    <Port name="strategy" direction="in" type="str"/>
+    <Port name="target_angle" direction="in" type="float"/>
+    <Port name="progress" direction="inout" type="float"/>
+    <Port name="torque" direction="out" type="float"/>
+    <Port name="angle" direction="out" type="float"/>
+  </Leaf>
+  <Tree id="Main">
+    <ReactiveSequence name="hold_the_grasp">
+      <RetryUntilSuccessful name="grasp_loop" num_attempts="2">
+        <Sequence>
+          <LookupPose strategy="low_torque" angle="{angle}"/>
+          <Fallback>
+            <Grasp strategy="low_torque"/>
+            <ForceFailure><Approach strategy="low_torque"/></ForceFailure>
+          </Fallback>
+        </Sequence>
+      </RetryUntilSuccessful>
+      <ManipulateTarget strategy="low_torque" target_angle="{target_angle}"
+                        progress="{twist_progress}" torque="{torque}" angle="{angle}"/>
+    </ReactiveSequence>
+  </Tree>
+</TreeDocument>
+"""
+
+
 class TestCanonicalTree:
     def test_text_parses_clean(self):
         result = parse_tree_definition(canonical_tree_text(ALL_IDS))
@@ -295,6 +329,20 @@ class TestEpisodes:
         for result in results:
             assert result.attempts_consumed == min(
                 cfg.num_attempts, genuine_count(result) + 1)
+
+    def test_retry_completing_twice_reports_every_charged_attempt(self):
+        # the reactive sequence re-ticks the grasp loop while the twist
+        # runs: the loop succeeds after one charged failure (no pose
+        # approached yet), then, held, fails twice more and gives up
+        text = TWICE_COMPLETED_RETRY
+        low = dataclasses.replace(DEFAULT_STRATEGIES[0], p_segment_failure=0.0)
+        result = run_episode(DEFAULT_DEVICES["testA"], [low], DataStore(),
+                             trial_rng(SEED, 0), trial=1, target_angle=7.0,
+                             num_attempts=5,
+                             document=parse_tree_definition(text).document)
+        assert not result.success
+        assert result.failure_reasons == (GENUINE,) * 3
+        assert result.attempts_consumed == 3
 
     def test_exempt_reasons_do_not_consume_attempts(self):
         cfg = make_config("A", "low", SEED, trials=4)

@@ -1045,6 +1045,23 @@ class TestConfigValues:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("command", ["run", "tick"])
+    def test_overlay_id_other_than_its_key_exits_two(
+            self, canonical_file, tmp_path, capsys, command):
+        config = write_config(tmp_path, {
+            "device": "stiff",
+            "devices": {"stiff": {"id": "other", "stiffness": 0.9}}})
+        if command == "run":
+            argv = ["run", "--experiment", "A", "--behavior", "low"]
+        else:
+            argv = ["tick", "--tree", str(canonical_file), "--seed", "5"]
+        code = main(argv + ["--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: device 'stiff': id must match its key, "
+                                "got 'other'\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("payload,field", [
         ({"devices": {"stiff": {"stiffness": True}}}, "stiffness"),
         ({"devices": {"stiff": {"symmetry_order": 2.5}}}, "symmetry_order"),
@@ -1119,6 +1136,20 @@ class TestConfigHelpers:
         assert devices["stiff"].stiffness == 0.9
         assert devices["stiff"].damping == 0.1
         assert devices["normal"].stiffness == 0.25
+
+    def test_overlay_id_equal_to_its_key_is_accepted(self):
+        devices = devices_from_config(
+            {"devices": {"stiff": {"id": "stiff", "stiffness": 0.9}}})
+        assert devices["stiff"].id == "stiff"
+        assert devices["stiff"].stiffness == 0.9
+
+    @pytest.mark.parametrize("device_id,fields", [
+        ("stiff", {"id": "other"}), ("stiff", {"id": 5}),
+        ("fresh", {"id": "stiff", "symmetry_order": 4})])
+    def test_overlay_id_other_than_its_key_rejected(self, device_id, fields):
+        with pytest.raises(ConfigError, match=f"^device {device_id!r}: id must "
+                                              f"match its key, got {fields['id']!r}$"):
+            devices_from_config({"devices": {device_id: fields}})
 
     def test_new_device_from_scratch(self):
         devices = devices_from_config(

@@ -38,6 +38,11 @@ def flag_condition(key, name="cond"):
     return Condition(name, predicate=lambda node: bool(node.bb.get(key)))
 
 
+def charged(retry):
+    """The attempts a retry's failures used: its history entries not exempt."""
+    return sum(not exempt for _, exempt in retry.history)
+
+
 class CountingAction(StatefulAction):
     """Scripted stateful action: per-execution schedule, counts callbacks."""
 
@@ -227,7 +232,8 @@ class TestRetry:
         tree = RetryUntilSuccessful(child, num_attempts=5, name="retry")
         statuses = [tick_root(tree, bb)[0] for _ in range(3)]
         assert statuses == [R, R, S]
-        assert tree.attempts_consumed == 3
+        # two charged failures, and the third attempt succeeded
+        assert (charged(tree), tree.status) == (2, S)
 
     def test_exhaustion_returns_failure(self):
         bb = Blackboard()
@@ -235,7 +241,7 @@ class TestRetry:
         tree = RetryUntilSuccessful(child, num_attempts=5, name="retry")
         statuses = [tick_root(tree, bb)[0] for _ in range(5)]
         assert statuses == [R, R, R, R, F]
-        assert tree.attempts_consumed == 5
+        assert (charged(tree), tree.status) == (5, F)
 
     def test_exempt_failures_do_not_consume_attempts(self):
         bb = Blackboard()
@@ -255,7 +261,7 @@ class TestRetry:
             exempt_reasons=["regrasp", "strategy_switch"], name="retry")
         statuses = [tick_root(tree, bb)[0] for _ in range(4)]
         assert statuses == [R, R, R, S]
-        assert tree.attempts_consumed == 1
+        assert (charged(tree), tree.status) == (0, S)
         assert tree.history == [("regrasp", True)] * 3
         # the engine cleared the reason after consuming the exemption
         assert bb.reason_cell == [None]
@@ -692,6 +698,21 @@ class FailsWith(TreeNode):
         return self.fail(self.reason)
 
 
+class FailsThrough(TreeNode):
+    """Leaf that fails once per entry of `reasons` (None: a bare Failure),
+    then succeeds."""
+
+    def __init__(self, reasons, name="fails"):
+        super().__init__(name)
+        self.reasons = list(reasons)
+
+    def _tick(self, trace):
+        if not self.reasons:
+            return S
+        reason = self.reasons.pop(0)
+        return F if reason is None else self.fail(reason)
+
+
 class TestFailureReason:
     def test_reason_is_no_blackboard_entry(self):
         bb = Blackboard()
@@ -709,7 +730,7 @@ class TestFailureReason:
         bb = Blackboard()
         assert [tick_root(tree, bb)[0] for _ in range(2)] == [R, S]
         assert tree.history == [("regrasp", True)]
-        assert tree.attempts_consumed == 1
+        assert (charged(tree), tree.status) == (0, S)
 
     # the recovering child succeeds at once, or after a Running tick
     @pytest.mark.parametrize("kind", [Fallback, ReactiveFallback])
@@ -726,7 +747,7 @@ class TestFailureReason:
         statuses = [tick_root(tree, bb)[0] for _ in range(ticks)]
         assert statuses == [R] * (ticks - 1) + [F]
         assert tree.history == [("", False)] * 3
-        assert tree.attempts_consumed == 3
+        assert (charged(tree), tree.status) == (3, F)
 
     def test_failed_fallback_keeps_the_reason(self):
         # the canonical tree's bail path: the retract runs, the fallback
@@ -758,4 +779,37 @@ class TestFailureReason:
         statuses = [tick_root(tree, bb)[0] for _ in range(ticks)]
         assert statuses == [R] * (ticks - 1) + [S]
         assert tree.history == [("regrasp", True)]
-        assert tree.attempts_consumed == 1
+        assert (charged(tree), tree.status) == (0, S)
+
+    def test_each_entry_names_only_its_own_failure(self):
+        # a charged restart clears the cell, as an exempt one does
+        tree = RetryUntilSuccessful(FailsThrough(["genuine", None, None]), 3,
+                                    name="retry")
+        bb = Blackboard()
+        assert [tick_root(tree, bb)[0] for _ in range(3)] == [R, R, F]
+        assert tree.history == [("genuine", False), ("", False), ("", False)]
+        assert bb.reason_cell == [None]
+
+    def test_exhausted_inner_retry_hands_its_reason_up(self):
+        inner = RetryUntilSuccessful(FailsThrough(["genuine", "regrasp"]), 2,
+                                     name="inner")
+        outer = RetryUntilSuccessful(inner, 1, exempt_reasons=("regrasp",),
+                                     name="outer")
+        bb = Blackboard()
+        assert [tick_root(outer, bb)[0] for _ in range(3)] == [R, R, S]
+        assert inner.history == [("genuine", False), ("regrasp", False)]
+        assert outer.history == [("regrasp", True)]
+        assert (charged(outer), outer.status) == (0, S)
+
+    def test_inner_charged_reason_does_not_outlive_its_attempt(self):
+        # the inner retry's last failure has no reason: the outer retry
+        # charges it rather than exempting the inner's first failure again
+        inner = RetryUntilSuccessful(FailsThrough(["regrasp", None]), 2,
+                                     name="inner")
+        outer = RetryUntilSuccessful(inner, 1, exempt_reasons=("regrasp",),
+                                     name="outer")
+        bb = Blackboard()
+        assert [tick_root(outer, bb)[0] for _ in range(2)] == [R, F]
+        assert inner.history == [("regrasp", False), ("", False)]
+        assert outer.history == [("", False)]
+        assert (charged(outer), outer.status) == (1, F)

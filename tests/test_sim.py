@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from adaptbt.bench import EpisodeProbe
+from adaptbt.bench import DEFAULT_DEVICES, EpisodeProbe
 from adaptbt.core import (
     Blackboard,
     Key,
@@ -72,22 +73,20 @@ LOOKUP_PORTS = {"strategy": Key("strategy_id"), "angle": Key("effective_handle_a
 
 class TestReactiveTorque:
     def test_damped_spring_formula(self):
-        device = stiff_valve(handle_angle=2.0)
-        torque = reactive_torque(device, 0.157)
+        torque = reactive_torque(stiff_valve(), 2.0, 0.157)
         assert torque == pytest.approx(0.18 * 2.0 + 0.1 * 0.157 + 0.02, abs=1e-12)
         assert torque == pytest.approx(0.3957, abs=1e-12)
 
     def test_spike_at_joint_limit_reaches_tightened_level(self):
-        device = stiff_valve(handle_angle=3.0)
-        assert reactive_torque(device, 0.027) == 2.0
-        assert reactive_torque(device, 0.027) >= device.tightened_threshold
+        device = stiff_valve()
+        assert reactive_torque(device, 3.0, 0.027) == 2.0
+        assert reactive_torque(device, 3.0, 0.027) >= device.tightened_threshold
 
     def test_dynamics_disabled_gives_friction_only(self):
-        device = plain_valve(handle_angle=2.0)
-        assert reactive_torque(device, 0.157) == 0.05
+        assert reactive_torque(plain_valve(), 2.0, 0.157) == 0.05
 
     def test_no_twist_no_torque(self):
-        assert reactive_torque(stiff_valve(handle_angle=2.0), 0.0) == 0.0
+        assert reactive_torque(stiff_valve(), 2.0, 0.0) == 0.0
 
 
 class TestWorldStepping:
@@ -95,14 +94,14 @@ class TestWorldStepping:
         world = World(stiff_valve())
         world.set_grasp(0.0)
         delta, _ = world.step_twist(0.157)
-        assert world.device.handle_angle == pytest.approx(0.0157)
+        assert world.handle_angle == pytest.approx(0.0157)
         assert delta == pytest.approx(0.0157)
 
     def test_clamp_at_joint_limit(self):
         world = World(stiff_valve(handle_angle=2.95))
         world.set_grasp(0.0)
         delta, torque = world.step_twist(1.0)
-        assert world.device.handle_angle == 3.0
+        assert world.handle_angle == 3.0
         assert delta == pytest.approx(0.05)
         assert torque == 2.0
         delta, torque = world.step_twist(1.0)
@@ -115,11 +114,27 @@ class TestWorldStepping:
             world.step_twist(0.1)
 
     def test_world_copies_the_device(self):
+        # the world copies only the start angle; the device is left as given
         device = stiff_valve()
         world = World(device)
         world.set_grasp(0.0)
         world.step_twist(0.5)
         assert device.handle_angle == 0.0
+
+    def test_world_leaves_the_device_as_given(self):
+        # the world starts from the device's angle and keeps its own
+        world = World(stiff_valve(handle_angle=1.0))
+        world.set_grasp(0.0)
+        world.step_twist(0.5)
+        assert world.handle_angle == pytest.approx(1.05)
+        assert world.device.handle_angle == 1.0
+
+    def test_devices_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT_DEVICES["stiff"].stiffness = 0.9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stiff_valve().handle_angle = 1.0
+        assert DEFAULT_DEVICES["stiff"].stiffness == 0.7
 
     def test_clock_is_step_counted(self):
         world = World(stiff_valve())
@@ -322,7 +337,7 @@ class TestManipulateTarget:
         progress = bb.get("twist_progress")
         assert target <= progress <= target + step
         # conservation: blackboard progress tracks the physical handle
-        assert world.device.handle_angle == pytest.approx(progress)
+        assert world.handle_angle == pytest.approx(progress)
         assert len(store) > 0
         assert all(r.torque == 0.05 for r in store.records)
         assert len({r.sim_time for r in store.records}) == len(store)
