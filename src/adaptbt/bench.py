@@ -47,7 +47,9 @@ from .strategies import (
 )
 from .treedef import (
     LeafRegistry,
+    REASON_SEPARATOR,
     TreeDocument,
+    declaration_lines,
     instantiate,
     parse_tree_definition,
     quote_attribute,
@@ -200,46 +202,18 @@ def behavior_strategies(behavior: str,
 # canonical tree
 
 
-_LEAF_DECLARATIONS = """\
-  <Leaf id="SelectStrategy">
-    <Port name="strategy_id" direction="out" type="str"/>
-  </Leaf>
-  <Leaf id="CheckStrategyViable">
-    <Port name="strategy_id" direction="in" type="str"/>
-  </Leaf>
-  <Leaf id="IsTightened">
-    <Port name="torque" direction="in" type="float"/>
-    <Port name="threshold" direction="in" type="float"/>
-  </Leaf>
-  <Leaf id="AngleWithinLimits">
-    <Port name="angle" direction="in" type="float"/>
-    <Port name="strategy" direction="in" type="str"/>
-  </Leaf>
-  <Leaf id="FTWithinLimits">
-    <Port name="torque" direction="in" type="float"/>
-    <Port name="strategy" direction="in" type="str"/>
-  </Leaf>
-  <Leaf id="LookupPose">
-    <Port name="strategy" direction="in" type="str"/>
-    <Port name="angle" direction="out" type="float"/>
-  </Leaf>
-  <Leaf id="Approach">
-    <Port name="strategy" direction="in" type="str"/>
-  </Leaf>
-  <Leaf id="Grasp">
-    <Port name="strategy" direction="in" type="str"/>
-  </Leaf>
-  <Leaf id="Retract">
-    <Port name="strategy" direction="in" type="str"/>
-  </Leaf>
-  <Leaf id="ManipulateTarget">
-    <Port name="strategy" direction="in" type="str"/>
-    <Port name="target_angle" direction="in" type="float"/>
-    <Port name="progress" direction="inout" type="float"/>
-    <Port name="torque" direction="out" type="float"/>
-    <Port name="angle" direction="out" type="float"/>
-  </Leaf>
-"""
+# each episode leaf id and its class's port table, in the canonical tree's order
+LEAF_PORTS = {
+    "SelectStrategy": SelectStrategy.PORTS,
+    "CheckStrategyViable": CheckStrategyViable.PORTS,
+    "IsTightened": IsTightened.PORTS,
+    "AngleWithinLimits": AngleWithinLimits.PORTS,
+    "FTWithinLimits": FTWithinLimits.PORTS,
+    "LookupPose": LookupPose.PORTS,
+    **dict.fromkeys(("Approach", "Grasp", "Retract"), MotionSegment.PORTS),
+    "ManipulateTarget": ManipulateTarget.PORTS,
+}
+_LEAF_DECLARATIONS = "".join(f"{line}\n" for line in declaration_lines(LEAF_PORTS))
 
 _STRATEGY_RUN_TREE = """\
   <Tree id="StrategyRun">
@@ -290,7 +264,7 @@ def canonical_tree_text(strategy_ids: list[str]) -> str:
         f'            <AlwaysSuccess name="accept_no_strategy"/>\n'
         f'          </Case>')
     case_block = "\n".join(cases)
-    exempt = ";".join(EXEMPT_REASONS)
+    exempt = REASON_SEPARATOR.join(EXEMPT_REASONS)
     return (
         f'<TreeDocument main_tree="Main" strategy_var="{STRATEGY_VAR}">\n'
         f'{_LEAF_DECLARATIONS}'
@@ -397,11 +371,8 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
         document = build_canonical_tree([s.id for s in strategies])
 
     blackboard = Blackboard()
-    blackboard.set("num_attempts", num_attempts)
-    blackboard.set("target_angle", target_angle)
-    blackboard.set("tightened_threshold", device.tightened_threshold)
-    blackboard.set("twist_progress", 0.0)
-    for key, value in (seeds or {}).items():
+    runner_values = (num_attempts, target_angle, device.tightened_threshold, 0.0)
+    for key, value in (*zip(RUNNER_KEYS, runner_values), *(seeds or {}).items()):
         blackboard.set(key, value)
 
     tree = instantiate(document, leaf_registry, blackboard)

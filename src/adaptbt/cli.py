@@ -26,6 +26,7 @@ from .bench import (
     DEFAULT_STRATEGIES,
     EXPERIMENTS,
     EpisodeSettings,
+    LEAF_PORTS,
     RUNNER_KEYS,
     emit_results,
     make_config,
@@ -40,8 +41,9 @@ from .core import BehaviorTreeError, NodeStatus, TickTrace, _FAILURE, \
 from .sim import DeviceInstance
 from .strategies import DataStore, FAILURE_REASONS, StrategySpec, \
     open_store, persist as persist_data_store, read_text
-from .treedef import InstantiationError, TreeDocument, \
-    parse_tree_definition, validate_exempt_reasons, validate_switch_coverage
+from .treedef import ERROR, InstantiationError, TreeDocument, \
+    parse_tree_definition, validate_exempt_reasons, validate_leaf_ports, \
+    validate_switch_coverage
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -74,11 +76,21 @@ def read_utf8(path: str) -> str:
 
 
 def load_config(path: str | None) -> dict:
-    """The JSON object at `path`, each key known and of its CONFIG_TYPES type."""
+    """The JSON object at `path`, each key known and of its CONFIG_TYPES type;
+    no object in it may repeat a key."""
     if path is None:
         return {}
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigError(f"config {path} repeats the key {key!r}")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(read_utf8(path))
+        data = json.loads(read_utf8(path), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -161,9 +173,10 @@ def load_tree(path: str, strategies: list[StrategySpec]) -> TreeDocument | None:
         diagnostics.extend(validate_switch_coverage(
             result.document, {s.id for s in strategies}))
         diagnostics += validate_exempt_reasons(result.document, FAILURE_REASONS)
+        diagnostics += validate_leaf_ports(result.document, LEAF_PORTS)
     for diagnostic in diagnostics:
         print(diagnostic)
-    if any(d.severity == "error" for d in diagnostics):
+    if any(d.severity == ERROR for d in diagnostics):
         return None
     return result.document
 

@@ -20,6 +20,7 @@ from .core import ConfigurationError, NodeStatus, StatefulAction, _RUNNING, \
     _SUCCESS
 from .strategies import CONFIG, DataStore, GENUINE, StrategySpec, \
     check_field_types, remap_handle_angle
+from .treedef import PortSpec
 
 
 class SimulationError(ConfigurationError):
@@ -150,6 +151,8 @@ class LookupPose(StatefulAction):
     symmetry steps and publishes it as the working angle estimate. One tick.
     """
 
+    PORTS = (PortSpec("strategy", "in", "str"), PortSpec("angle", "out", "float"))
+
     def __init__(self, name, ports, world: World,
                  registry: dict[str, StrategySpec]):
         super().__init__(name, ports)
@@ -177,6 +180,8 @@ class MotionSegment(StatefulAction):
     fails; if so, a second draw places the failure uniformly inside the
     planned duration.
     """
+
+    PORTS = (PortSpec("strategy", "in", "str"),)
 
     def __init__(self, name, ports, world: World,
                  registry: dict[str, StrategySpec], segment_kind: str):
@@ -240,6 +245,10 @@ class ManipulateTarget(StatefulAction):
     re-grasped or re-attempted episode resumes where it stopped. Every step
     leaves one torque record in the data store under `probe.attempt`.
     """
+
+    PORTS = (PortSpec("strategy", "in", "str"), PortSpec("target_angle", "in", "float"),
+             PortSpec("progress", "inout", "float"), PortSpec("torque", "out", "float"),
+             PortSpec("angle", "out", "float"))
 
     def __init__(self, name, ports, world: World,
                  registry: dict[str, StrategySpec], store: DataStore,

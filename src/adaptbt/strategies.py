@@ -26,7 +26,7 @@ from .core import (
     _FAILURE,
     _SUCCESS,
 )
-from .treedef import infer_literal, parse_binding
+from .treedef import PortSpec, infer_literal, parse_binding
 
 # Failure reasons. The first two are exempt from retry accounting: they are
 # deliberate interruptions, not task failures.
@@ -467,6 +467,8 @@ def remap_handle_angle(measured: float, symmetry_order: int,
 class SelectStrategy(StatefulAction):
     """Writes the chosen strategy id, reports it to `probe.on_select`, succeeds."""
 
+    PORTS = (PortSpec("strategy_id", "out", "str"),)
+
     def __init__(self, name, ports, store: DataStore, device_id: str,
                  registry: list[StrategySpec], probe, margin: float = 0.0):
         super().__init__(name, ports)
@@ -487,12 +489,16 @@ class SelectStrategy(StatefulAction):
 class CheckStrategyViable(Condition):
     """The final viability check: fails on the sentinel id."""
 
+    PORTS = (PortSpec("strategy_id", "in", "str"),)
+
     def _tick(self, trace) -> NodeStatus:
         return _SUCCESS if self.input("strategy_id") != NO_STRATEGIES else _FAILURE
 
 
 class IsTightened(Condition):
     """Success once the measured torque reaches the tightened threshold."""
+
+    PORTS = (PortSpec("torque", "in", "float"), PortSpec("threshold", "in", "float"))
 
     def _tick(self, trace) -> NodeStatus:
         return _SUCCESS if self.input("torque") >= self.input("threshold") else _FAILURE
@@ -504,6 +510,8 @@ class AngleWithinLimits(Condition):
     Leaving the window is a deliberate interruption: the leaf records the
     re-grasp reason so the retry decorator does not charge an attempt.
     """
+
+    PORTS = (PortSpec("angle", "in", "float"), PortSpec("strategy", "in", "str"))
 
     def __init__(self, name, ports, registry: dict[str, StrategySpec]):
         super().__init__(name, ports)
@@ -523,6 +531,8 @@ class FTWithinLimits(Condition):
     Exceeding it preempts the attempt with the strategy-switch reason so a
     stronger strategy can be selected without charging an attempt.
     """
+
+    PORTS = (PortSpec("torque", "in", "float"), PortSpec("strategy", "in", "str"))
 
     def __init__(self, name, ports, registry: dict[str, StrategySpec]):
         super().__init__(name, ports)

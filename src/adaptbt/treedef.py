@@ -611,11 +611,10 @@ def validate_switch_coverage(doc: TreeDocument,
     if doc.strategy_var is None:
         return []
     wanted = set(strategy_ids) | {NO_STRATEGIES}
-    variable = "{" + doc.strategy_var + "}"
     out: list[Diagnostic] = []
     for node in doc.trees.values():
         for el in iter_nodes(node):
-            if el.tag != "SwitchStatement" or el.attrs.get("variable") != variable:
+            if el.tag != "SwitchStatement" or el.resolved != doc.strategy_var:
                 continue
             cases = {c.attrs.get("value", "") for c in el.children if c.tag == "Case"}
             for missing in sorted(wanted - cases):
@@ -638,6 +637,29 @@ def validate_exempt_reasons(doc: TreeDocument, known: set[str]) -> list[Diagnost
             if reason not in known and not reason.startswith(UNBOUND_PREFIX)]
 
 
+def validate_leaf_ports(doc: TreeDocument,
+                        expected: dict[str, tuple[PortSpec, ...]]) -> list[Diagnostic]:
+    """An error, at each node of a leaf in `expected` (leaf id -> its class's
+    ports), whose declared ports are not those: one is missing or extra, or
+    has another direction or type."""
+    differ = {}
+    for leaf_id, ports in doc.declared_leaves.items():
+        table = expected.get(leaf_id)
+        if table is not None and set(ports) != set(table):
+            differ[leaf_id] = (
+                f"leaf {leaf_id!r} declares {_port_list(ports, table)} where "
+                f"its class has {_port_list(table, ports)}")
+    return [Diagnostic(ERROR, el.line, el.col, "leaf-ports", differ[el.tag])
+            for node in doc.trees.values() for el in iter_nodes(node)
+            if el.tag in differ]
+
+
+def _port_list(ports: tuple[PortSpec, ...], other: tuple[PortSpec, ...]) -> str:
+    """The ports not in `other`, each as `name (direction type)`."""
+    return ", ".join(f"{p.name} ({p.direction} {p.type})"
+                     for p in ports if p not in other) or "no other port"
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -652,17 +674,25 @@ def serialize(doc: TreeDocument) -> str:
     if doc.strategy_var is not None:
         attrs["strategy_var"] = doc.strategy_var
     lines.append(f"<TreeDocument{_format_attrs(attrs)}>")
-    for leaf_id, ports in doc.declared_leaves.items():
-        lines.append(f'  <Leaf id={quote_attribute(leaf_id)}>')
-        for port in ports:
-            lines.append(f"    <Port{_format_attrs(dict(name=port.name, direction=port.direction, type=port.type))}/>")
-        lines.append("  </Leaf>")
+    lines += declaration_lines(doc.declared_leaves)
     for tree_id, node in doc.trees.items():
         lines.append(f"  <Tree id={quote_attribute(tree_id)}>")
         _serialize_node(node, lines, 2)
         lines.append("  </Tree>")
     lines.append("</TreeDocument>")
     return "\n".join(lines) + "\n"
+
+
+def declaration_lines(leaves: dict[str, tuple[PortSpec, ...]]) -> list[str]:
+    """The `Leaf` sections declaring `leaves` (leaf id -> its ports), one
+    line per element, indented as `serialize` writes them."""
+    lines = []
+    for leaf_id, ports in leaves.items():
+        lines.append(f'  <Leaf id={quote_attribute(leaf_id)}>')
+        for port in ports:
+            lines.append(f"    <Port{_format_attrs(dict(name=port.name, direction=port.direction, type=port.type))}/>")
+        lines.append("  </Leaf>")
+    return lines
 
 
 # a value holding none of these characters is written as it is, in ""

@@ -1,6 +1,7 @@
 """Benchmark harness: canonical tree wiring and experiment behavior."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -14,6 +15,7 @@ from adaptbt.bench import (
     EpisodeProbe,
     EpisodeResult,
     EpisodeSettings,
+    LEAF_PORTS,
     behavior_strategies,
     build_canonical_tree,
     canonical_tree_text,
@@ -104,6 +106,28 @@ class TestCanonicalTree:
             ids + [NO_STRATEGIES]
         assert [case.children[0].attrs["strategy"]
                 for case in switch.children[:-1]] == ids
+
+    # the whole text, Leaf section included: trace lines hold node names only
+    @pytest.mark.parametrize("ids,length,digest", [
+        (ALL_IDS, 3787,
+         "5541c7f3b1557f584ab3bead98666ffbcbda3bc517884915bca873aa1cb267bb"),
+        (["a&b<c>", 'say "hi"', "it's", "tab\tnew\nline"], 4397,
+         "83ce878e94ecbbe102968652c357fe839c7d0acf2be6caa02dfe5ecae2fa3033"),
+    ])
+    def test_text_is_pinned(self, ids, length, digest):
+        text = canonical_tree_text(ids)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == \
+            (length, digest)
+
+    def test_leaf_section_is_the_class_tables(self):
+        doc = build_canonical_tree(ALL_IDS)
+        assert doc.declared_leaves == LEAF_PORTS
+        registry = episode_leaf_registry(World(DEFAULT_DEVICES["testA"]),
+                                         DataStore(), DEFAULT_STRATEGIES,
+                                         EpisodeProbe(), trial=1)
+        # each id builds a node of the class whose table it declares
+        for leaf_id, ports in LEAF_PORTS.items():
+            assert type(registry.build(leaf_id, leaf_id, {})).PORTS is ports
 
     def test_round_trip_survives_reserialization(self):
         from adaptbt.treedef import serialize, structurally_equal

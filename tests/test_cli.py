@@ -337,6 +337,28 @@ class TestValidate:
         assert main(["validate", "--tree", str(tree)]) == 0
         assert capsys.readouterr().out == f"{tree}: ok\n"
 
+    def test_declaration_unlike_its_class_fails_validate_and_tick(self, tmp_path,
+                                                                  capsys):
+        # at run time the str constant would meet a float subtraction
+        text = canonical_tree_text(ALL_IDS)
+        start = text.index("<ManipulateTarget ")
+        line = text[:start].count("\n") + 1
+        col = start - text.rfind("\n", 0, start)
+        tree = tmp_path / "str_angle.xml"
+        tree.write_text(text.replace(
+            '<Port name="target_angle" direction="in" type="float"/>',
+            '<Port name="target_angle" direction="in" type="str"/>').replace(
+            'target_angle="{target_angle}" progress', 'target_angle="far" progress'))
+        assert main(["validate", "--tree", str(tree)]) == 2
+        stdout = capsys.readouterr().out
+        assert stdout == (f"error:{line}:{col}:leaf-ports:leaf 'ManipulateTarget' "
+                          f"declares target_angle (in str) where its class has "
+                          f"target_angle (in float)\n")
+        assert main(["tick", "--tree", str(tree), "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err == ""
+
     @pytest.mark.parametrize("num_attempts", ["0", "-3"])
     def test_num_attempts_below_one_fails_validate_and_tick(self, tmp_path, capsys,
                                                              num_attempts):
@@ -998,6 +1020,52 @@ class TestConfigValues:
         assert main(argv + ["--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: config strategies repeat the id 'a'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "validate", "tick"])
+    @pytest.mark.parametrize("payload,key,kind", [
+        ({"seed": True}, "seed", "an integer"),
+        ({"dt": False}, "dt", "a number"),
+        ({"margin": "0.1"}, "margin", "a number"),
+        ({"num_attempts": "5"}, "num_attempts", "an integer"),
+        ({"strategies": 1}, "strategies", "a list"),
+        ({"run_devices": 2.5}, "run_devices", "a list"),
+        ({"devices": 0}, "devices", "an object"),
+        ({"blackboard": 1}, "blackboard", "an object"),
+        ({"device": 3}, "device", "a string"),
+    ])
+    def test_mistyped_key_exits_two(self, canonical_file, tmp_path, capsys,
+                                    command, payload, key, kind):
+        config = write_config(tmp_path, payload)
+        if command == "run":
+            argv = ["run", "--experiment", "A", "--behavior", "low"]
+        else:
+            argv = [command, "--tree", str(canonical_file)]
+        assert main(argv + ["--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config {key} must be {kind}\n"
+        assert captured.out == ""
+
+    # json.loads alone keeps the last value of a repeated key
+    @pytest.mark.parametrize("command", ["run", "validate", "tick"])
+    @pytest.mark.parametrize("text,key", [
+        ('{"seed": 1, "seed": 2, "device": "stiff"}', "seed"),
+        ('{"devices": {"stiff": {"stiffness": 0.9, "stiffness": 0.1}}}',
+         "stiffness"),
+        ('{"strategies": [{"id": "a", "id": "b"}]}', "id"),
+        ('{"blackboard": {"x": 1, "x": 2}}', "x"),
+    ])
+    def test_repeated_key_exits_two(self, canonical_file, tmp_path, capsys,
+                                    command, text, key):
+        config = tmp_path / "dup_key.json"
+        config.write_text(text)
+        if command == "run":
+            argv = ["run", "--experiment", "A", "--behavior", "low", "--trials", "1"]
+        else:
+            argv = [command, "--tree", str(canonical_file)]
+        assert main(argv + ["--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config {config} repeats the key {key!r}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

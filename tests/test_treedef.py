@@ -23,6 +23,7 @@ from adaptbt.treedef import (
     Diagnostic,
     InstantiationError,
     LeafRegistry,
+    PortSpec,
     RawElement,
     convert_literal,
     infer_literal,
@@ -32,6 +33,7 @@ from adaptbt.treedef import (
     quote_attribute,
     serialize,
     structurally_equal,
+    validate_leaf_ports,
     validate_switch_coverage,
 )
 from conftest import trace_names
@@ -486,6 +488,49 @@ class TestSwitchCoverage:
             '<Case value="x"><AlwaysSuccess/></Case></SwitchStatement></Tree>',
             extra=' strategy_var="strategy_id"'))
         assert validate_switch_coverage(document, self.IDS) == []
+
+
+class TestLeafPorts:
+    TABLE = {"Twist": (PortSpec("rate", "in", "float"),
+                       PortSpec("done", "out", "bool"))}
+
+    def twist_doc(self, ports, uses=1):
+        declaration = "".join(
+            f'<Port name="{n}" direction="{d}" type="{t}"/>' for n, d, t in ports)
+        node = "<Twist " + " ".join(f'{n}="{{{n}}}"' for n, _, _ in ports) + "/>"
+        return parse_ok(doc(f'<Leaf id="Twist">{declaration}</Leaf>\n'
+                            f'<Tree id="Main">\n<Sequence>\n'
+                            + f"{node}\n" * uses + '</Sequence>\n</Tree>'))
+
+    @pytest.mark.parametrize("ports", [
+        [("rate", "in", "float"), ("done", "out", "bool")],
+        [("done", "out", "bool"), ("rate", "in", "float")],  # any order
+    ])
+    def test_the_class_table_is_clean(self, ports):
+        assert validate_leaf_ports(self.twist_doc(ports), self.TABLE) == []
+
+    @pytest.mark.parametrize("ports,declared,has", [
+        ([("rate", "in", "str"), ("done", "out", "bool")],
+         "rate (in str)", "rate (in float)"),
+        ([("rate", "inout", "float"), ("done", "out", "bool")],
+         "rate (inout float)", "rate (in float)"),
+        ([("rate", "in", "float")], "no other port", "done (out bool)"),
+        ([("rate", "in", "float"), ("done", "out", "bool"),
+          ("spare", "in", "int")], "spare (in int)", "no other port"),
+    ])
+    def test_each_difference_is_an_error_at_each_use(self, ports, declared, has):
+        diags = validate_leaf_ports(self.twist_doc(ports, uses=2), self.TABLE)
+        message = f"leaf 'Twist' declares {declared} where its class has {has}"
+        assert [str(d) for d in diags] == [
+            f"error:5:1:leaf-ports:{message}", f"error:6:1:leaf-ports:{message}"]
+
+    def test_unused_or_unknown_leaves_are_not_checked(self):
+        unused = parse_ok(doc('<Leaf id="Twist"><Port name="rate" direction="in" '
+                              'type="str"/></Leaf><Tree id="Main"><AlwaysSuccess/>'
+                              '</Tree>'))
+        assert validate_leaf_ports(unused, self.TABLE) == []
+        other = self.twist_doc([("rate", "in", "str")])
+        assert validate_leaf_ports(other, {"Other": ()}) == []
 
 
 RICH_DOC = doc(
