@@ -27,6 +27,7 @@ from .core import (
     NodeStatus,
     RetryUntilSuccessful,
     TickTrace,
+    UNTRACED,
     _RUNNING,
     _SUCCESS,
     iter_nodes,
@@ -360,7 +361,8 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
     `seeds` are extra blackboard entries written after the RUNNER_KEYS.
     `on_tick(tick, sim_time, status, trace)` is called after every root tick
     and before the world clock advances, so `sim_time` is the time the tick
-    ran at. Raises BenchError after `max_ticks` ticks.
+    ran at. Each tick records a new trace only when `on_tick` is given.
+    Raises BenchError after `max_ticks` ticks.
     """
     world = World(device, dt=dt, rng=rng)
     if probe is None:
@@ -379,8 +381,10 @@ def run_episode(device: DeviceInstance, strategies: list[StrategySpec],
     retry = next((n for n in iter_nodes(tree)
                   if isinstance(n, RetryUntilSuccessful)), None)
 
+    # None: tick_root records each tick into a new trace for on_tick
+    record_into = UNTRACED if on_tick is None else None
     for tick in range(max_ticks):
-        status, trace = tick_root(tree, blackboard)
+        status, trace = tick_root(tree, blackboard, record_into)
         if on_tick is not None:
             on_tick(tick, world.sim_time, status, trace)
         world.advance()

@@ -119,19 +119,22 @@ class Blackboard:
 class TickTrace:
     """Per-cycle record of (node name, status) in tick-entry order.
 
-    Every tick records one; each entry holds the node's status at the end
-    of its visit, even if a parent halts the node later in the same cycle.
+    Each entry holds the node's status at the end of its visit, even if a
+    parent halts the node later in the same cycle. `UNTRACED`, built with
+    `recording=False`, records nothing: its `entries` and `diagnostics` are
+    None, and the tick path tests that before each write.
     """
 
-    def __init__(self):
-        self.entries: list[tuple[str, NodeStatus]] = []
-        self.diagnostics: list[str] = []
+    def __init__(self, recording: bool = True):
+        self.entries: list[tuple[str, NodeStatus]] | None = \
+            [] if recording else None
+        self.diagnostics: list[str] | None = [] if recording else None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return 0 if self.entries is None else len(self.entries)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={s.value}" for n, s in self.entries)
+        inner = ", ".join(f"{n}={s.value}" for n, s in self.entries or ())
         return f"TickTrace({inner})"
 
 
@@ -231,8 +234,9 @@ class TreeNode:
         # The entry reads Running while children are visited and is
         # overwritten in place once the status is terminal.
         entries = trace.entries
-        slot = len(entries)
-        entries.append(self._entered)
+        if entries is not None:
+            slot = len(entries)
+            entries.append(self._entered)
         try:
             status = self._tick(trace)
         except UnboundKeyError as exc:
@@ -240,13 +244,15 @@ class TreeNode:
         if status is not _RUNNING:
             if status is not _SUCCESS and status is not _FAILURE:
                 raise self._invalid(status)
-            entries[slot] = (self.name, status)
+            if entries is not None:
+                entries[slot] = (self.name, status)
         self.status = status
         return status
 
     def _unbound(self, trace: TickTrace, exc: UnboundKeyError) -> NodeStatus:
         # Unbound reads surface as Failure at the reading node.
-        trace.diagnostics.append(f"{self.name}: {exc}")
+        if trace.diagnostics is not None:
+            trace.diagnostics.append(f"{self.name}: {exc}")
         self._reset()
         return self.fail(UNBOUND_PREFIX + exc.key)
 
@@ -323,8 +329,9 @@ class _Composite(TreeNode):
         while index < count:
             child, name, entered, tick = visits[index]
             index += 1
-            slot = len(entries)
-            entries.append(entered)
+            if entries is not None:
+                slot = len(entries)
+                entries.append(entered)
             try:
                 status = tick(trace)
             except UnboundKeyError as exc:
@@ -332,7 +339,8 @@ class _Composite(TreeNode):
             if status is not _RUNNING:
                 if status is not _SUCCESS and status is not _FAILURE:
                     raise child._invalid(status)
-                entries[slot] = (name, status)
+                if entries is not None:
+                    entries[slot] = (name, status)
             child.status = status
             if status is _RUNNING or status is stops_on:
                 if status is _SUCCESS and index > 1:
@@ -471,8 +479,9 @@ class SwitchStatement(TreeNode):
             self.children[self._active].halt()
         # execute_tick's steps, inlined as in _Composite._tick
         child, entries = self.children[index], trace.entries
-        slot = len(entries)
-        entries.append(child._entered)
+        if entries is not None:
+            slot = len(entries)
+            entries.append(child._entered)
         try:
             status = child._tick(trace)
         except UnboundKeyError as exc:
@@ -480,7 +489,8 @@ class SwitchStatement(TreeNode):
         if status is not _RUNNING:
             if status is not _SUCCESS and status is not _FAILURE:
                 raise child._invalid(status)
-            entries[slot] = (child.name, status)
+            if entries is not None:
+                entries[slot] = (child.name, status)
         child.status = status
         self._active = index if status is _RUNNING else None
         return status
@@ -521,8 +531,9 @@ class SubTreeScope(TreeNode):
     def _tick(self, trace: TickTrace) -> NodeStatus:
         # execute_tick's steps, inlined as in _Composite._tick
         child, entries = self.children[0], trace.entries
-        slot = len(entries)
-        entries.append(child._entered)
+        if entries is not None:
+            slot = len(entries)
+            entries.append(child._entered)
         try:
             status = child._tick(trace)
         except UnboundKeyError as exc:
@@ -530,7 +541,8 @@ class SubTreeScope(TreeNode):
         if status is not _RUNNING:
             if status is not _SUCCESS and status is not _FAILURE:
                 raise child._invalid(status)
-            entries[slot] = (child.name, status)
+            if entries is not None:
+                entries[slot] = (child.name, status)
         child.status = status
         return status
 
@@ -604,13 +616,24 @@ class AlwaysFailure(TreeNode):
 # module operations
 
 
-def tick_root(tree: TreeNode, blackboard: Blackboard) -> tuple[NodeStatus, TickTrace]:
-    """Deliver one tick to the root. Engine state persists while Running."""
+# The one trace that records nothing: pass it to tick_root when no caller
+# reads the trace. It holds no state, so every tree can share it.
+UNTRACED = TickTrace(recording=False)
+
+
+def tick_root(tree: TreeNode, blackboard: Blackboard,
+              trace: TickTrace | None = None) -> tuple[NodeStatus, TickTrace]:
+    """Deliver one tick to the root. Engine state persists while Running.
+
+    The tick records into `trace`, by default a new one; returns the root's
+    status and that trace.
+    """
     if tree.bb is None:
         tree.bind(blackboard)
     elif tree.bb is not blackboard:
         raise ConfigurationError("tree is bound to a different blackboard")
-    trace = TickTrace()
+    if trace is None:
+        trace = TickTrace()
     return tree.execute_tick(trace), trace
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .core import ConfigurationError, NodeStatus, StatefulAction, _RUNNING, \
     _SUCCESS
 from .strategies import CONFIG, DataStore, GENUINE, StrategySpec, \
-    check_field_types, remap_handle_angle
+    check_field_types, remap_handle_angle, unknown_strategy
 from .treedef import PortSpec
 
 
@@ -160,7 +160,11 @@ class LookupPose(StatefulAction):
         self.registry = registry
 
     def on_start(self) -> NodeStatus:
-        spec = self.registry[self.input("strategy")]
+        strategy = self.input("strategy")
+        try:
+            spec = self.registry[strategy]
+        except KeyError:
+            raise unknown_strategy(self, strategy) from None
         try:
             reference = remap_handle_angle(
                 self.world.handle_angle, self.world.device.symmetry_order,
@@ -205,7 +209,11 @@ class MotionSegment(StatefulAction):
             # gripper opens on command; only the motion itself can fail,
             # so an aborted retract never leaves the handle held
             world.release()
-        spec = self.registry[self.input("strategy")]
+        strategy = self.input("strategy")
+        try:
+            spec = self.registry[strategy]
+        except KeyError:
+            raise unknown_strategy(self, strategy) from None
         steps = world.steps_for(spec.segment_duration(self.segment_kind))
         self._steps_left = steps
         self._fail_at = draw_segment_failure(world.rng, spec.p_segment_failure,
@@ -265,7 +273,11 @@ class ManipulateTarget(StatefulAction):
         world = self.world
         if not world.grasped:
             return self.fail(GENUINE)
-        spec = self.registry[self.input("strategy")]
+        strategy = self.input("strategy")
+        try:
+            spec = self.registry[strategy]
+        except KeyError:
+            raise unknown_strategy(self, strategy) from None
         remaining = self.input("target_angle") - self.input("progress")
         if remaining <= 0.0:
             return _SUCCESS
@@ -277,7 +289,12 @@ class ManipulateTarget(StatefulAction):
         return self._twist_step(spec)
 
     def on_running(self) -> NodeStatus:
-        return self._twist_step(self.registry[self.input("strategy")])
+        strategy = self.input("strategy")
+        try:
+            spec = self.registry[strategy]
+        except KeyError:
+            raise unknown_strategy(self, strategy) from None
+        return self._twist_step(spec)
 
     def _twist_step(self, spec: StrategySpec) -> NodeStatus:
         if self._fail_at is not None:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .core import (
     Condition,
+    ConfigurationError,
     NO_STRATEGIES,
     NodeStatus,
     StatefulAction,
@@ -464,6 +465,12 @@ def remap_handle_angle(measured: float, symmetry_order: int,
 # decision leaves
 
 
+def unknown_strategy(node, value) -> ConfigurationError:
+    """The error of a leaf whose `strategy` port names no strategy in its registry."""
+    return ConfigurationError(f"{node.name}: port 'strategy' names no known "
+                              f"strategy, got {value!r}")
+
+
 class SelectStrategy(StatefulAction):
     """Writes the chosen strategy id, reports it to `probe.on_select`, succeeds."""
 
@@ -518,7 +525,11 @@ class AngleWithinLimits(Condition):
         self.registry = registry
 
     def _tick(self, trace) -> NodeStatus:
-        spec = self.registry[self.input("strategy")]
+        strategy = self.input("strategy")
+        try:
+            spec = self.registry[strategy]
+        except KeyError:
+            raise unknown_strategy(self, strategy) from None
         angle = self.input("angle")
         if spec.angle_min <= angle <= spec.angle_max:
             return _SUCCESS
@@ -539,7 +550,11 @@ class FTWithinLimits(Condition):
         self.registry = registry
 
     def _tick(self, trace) -> NodeStatus:
-        spec = self.registry[self.input("strategy")]
+        strategy = self.input("strategy")
+        try:
+            spec = self.registry[strategy]
+        except KeyError:
+            raise unknown_strategy(self, strategy) from None
         if self.input("torque") <= spec.ft_limit:
             return _SUCCESS
         return self.fail(STRATEGY_SWITCH)

@@ -8,13 +8,16 @@ import re
 
 import pytest
 
+from adaptbt import bench
 from adaptbt.bench import (
+    BEHAVIORS,
     BenchError,
     DEFAULT_DEVICES,
     DEFAULT_STRATEGIES,
     EpisodeProbe,
     EpisodeResult,
     EpisodeSettings,
+    EXPERIMENTS,
     LEAF_PORTS,
     behavior_strategies,
     build_canonical_tree,
@@ -27,8 +30,8 @@ from adaptbt.bench import (
     summarize,
     trial_rng,
 )
-from adaptbt.core import Blackboard, Condition, NO_STRATEGIES, \
-    StatefulAction, iter_nodes, tick_root
+from adaptbt.core import Blackboard, Condition, ConfigurationError, \
+    NO_STRATEGIES, StatefulAction, iter_nodes, tick_root
 from adaptbt.sim import World
 from adaptbt.strategies import DataStore, EXEMPT_REASONS, GENUINE
 from adaptbt.treedef import InstantiationError, instantiate, \
@@ -335,6 +338,21 @@ class TestEpisodes:
                              document=parse_tree_definition(text).document)
         assert "unbound:nosuch" in result.failure_reasons
 
+    @pytest.mark.parametrize("leaf", ["LookupPose", "Approach",
+                                      "AngleWithinLimits", "FTWithinLimits",
+                                      "ManipulateTarget"])
+    def test_strategy_naming_no_spec_is_a_configuration_error(self, leaf):
+        text, count = re.subn(rf'(<{leaf} [^>]*)strategy="{{strategy}}"',
+                              r'\1strategy="nope"', canonical_tree_text(ALL_IDS))
+        assert count == 1
+        with pytest.raises(ConfigurationError) as info:
+            run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES,
+                        DataStore(), trial_rng(SEED, 0), trial=1,
+                        target_angle=7.0, num_attempts=5,
+                        document=parse_tree_definition(text).document)
+        assert str(info.value) == \
+            f"{leaf}: port 'strategy' names no known strategy, got 'nope'"
+
     def test_reading_the_old_reason_key_is_unbound(self):
         # no blackboard key carries the failure reason: a port bound to the
         # old key's name reads nothing, and says so in the reasons
@@ -472,6 +490,35 @@ class TestDeterminism:
         a = trial_rng(3, 0)
         b = trial_rng(4, 0)
         assert [a.random() for _ in range(4)] != [b.random() for _ in range(4)]
+
+    @pytest.mark.parametrize("behavior", BEHAVIORS)
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_recording_the_trace_changes_nothing(self, monkeypatch, experiment,
+                                                 behavior):
+        # run_episode records a trace only for an on_tick: each episode of
+        # the suite must end alike with and without one, store included
+        original = bench.run_episode
+        traced_entries = []
+
+        def on_tick(tick, sim_time, status, trace):
+            traced_entries.append(len(trace))
+
+        runs = []
+        for callback in (None, on_tick):
+            episodes = []
+
+            def episode(device, strategies, store, *args, **kwargs):
+                result = original(device, strategies, store, *args,
+                                  on_tick=callback, **kwargs)
+                episodes.append((result, list(store.records)))
+                return result
+
+            monkeypatch.setattr(bench, "run_episode", episode)
+            run_experiment(make_config(experiment, behavior, SEED))
+            runs.append(episodes)
+        untraced, traced = runs
+        assert untraced == traced
+        assert traced_entries and min(traced_entries) > 0
 
 
 class TestReporting:

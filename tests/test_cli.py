@@ -782,6 +782,26 @@ class TestTick:
         assert capsys.readouterr().err == \
             "error: grab: grasp completed without a planned pose\n"
 
+    # a constant that names no strategy, and a port that writes a float
+    # into the key every later leaf looks its strategy up by
+    @pytest.mark.parametrize("old,new,value", [
+        ('<Approach strategy="{strategy}"/>', '<Approach strategy="nope"/>',
+         "'nope'"),
+        ('<LookupPose strategy="{strategy}" angle="{effective_handle_angle}"/>',
+         '<LookupPose strategy="{strategy}" angle="{strategy}"/>', "0.0"),
+    ], ids=["constant", "overwritten"])
+    def test_unknown_strategy_exits_two_naming_the_node(self, tmp_path, capsys,
+                                                        old, new, value):
+        text = canonical_tree_text(ALL_IDS)
+        assert text.count(old) == 1
+        tree = tmp_path / "unknown_strategy.xml"
+        tree.write_text(text.replace(old, new))
+        assert main(["tick", "--tree", str(tree), "--seed", "1"]) == 2
+        # the whole of stderr: no traceback
+        assert capsys.readouterr().err == (
+            f"error: Approach: port 'strategy' names no known strategy, "
+            f"got {value}\n")
+
     # a bound limit must be an int: 2.7 and true are not truncated to 2 and
     # 1, and each error names the node, the port, the key and the value
     @pytest.mark.parametrize("value", [2.7, True, "abc"])

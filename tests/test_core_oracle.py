@@ -5,7 +5,9 @@ four leaves. Single-leaf shapes get every schedule of length six; larger
 shapes get seeded random schedules. Both implementations tick the same
 shape/schedule pair and must agree on the root status and the pre-order
 (name, status) trace at every tick, and on the per-leaf tick and halt
-counts afterwards.
+counts afterwards. Every UNTRACED_STRIDE-th shape is also ticked into the
+trace that records nothing, which must leave the statuses and counts as
+they were.
 """
 
 import functools
@@ -14,13 +16,15 @@ import random
 
 import pytest
 
-from adaptbt.core import Blackboard, NodeStatus, iter_nodes, tick_root
+from adaptbt.core import Blackboard, NodeStatus, UNTRACED, iter_nodes, \
+    tick_root
 from btref import ReferenceTree
 from conftest import ScriptedLeaf, build_engine_tree
 
 KINDS = ("seq", "fall", "rseq", "rfall")
 TICKS = 6
 SCHEDULE_LEN = 6
+UNTRACED_STRIDE = 25
 
 LETTER_BY_STATUS = {
     NodeStatus.SUCCESS: "S",
@@ -71,12 +75,20 @@ def shapes_with(n_leaves):
     return numbered
 
 
-def run_case(shape, schedules):
+def leaf_counts(engine):
+    leaves = [n for n in iter_nodes(engine) if isinstance(n, ScriptedLeaf)]
+    return ([leaf.ticks for leaf in leaves],
+            {leaf.name: leaf.halts for leaf in leaves if leaf.halts})
+
+
+def run_case(shape, schedules, untraced=False):
     ref = ReferenceTree(shape, schedules)
     engine = build_engine_tree(shape, schedules)
     bb = Blackboard()
+    statuses = []
     for t in range(TICKS):
         status, trace = tick_root(engine, bb)
+        statuses.append(status)
         ref_status = ref.root_tick()
         if LETTER_BY_STATUS[status] != ref_status:
             pytest.fail(
@@ -87,18 +99,25 @@ def run_case(shape, schedules):
             pytest.fail(
                 f"tick {t}: trace engine={entries} ref={ref.trace} "
                 f"shape={shape!r} schedules={schedules!r}")
-    leaves = [n for n in iter_nodes(engine) if isinstance(n, ScriptedLeaf)]
-    engine_counts = [leaf.ticks for leaf in leaves]
-    ref_counts = [ref.leaf_ticks.get(i, 0) for i in range(len(leaves))]
+    engine_counts, engine_halts = leaf_counts(engine)
+    ref_counts = [ref.leaf_ticks.get(i, 0) for i in range(len(engine_counts))]
     if engine_counts != ref_counts:
         pytest.fail(
             f"leaf tick counts diverge: engine={engine_counts} ref={ref_counts} "
             f"shape={shape!r} schedules={schedules!r}")
-    engine_halts = {leaf.name: leaf.halts for leaf in leaves if leaf.halts}
     if engine_halts != ref.halts:
         pytest.fail(
             f"leaf halt counts diverge: engine={engine_halts} ref={ref.halts} "
             f"shape={shape!r} schedules={schedules!r}")
+    if untraced:
+        quiet = build_engine_tree(shape, schedules)
+        bb = Blackboard()
+        quiet_statuses = [tick_root(quiet, bb, UNTRACED)[0] for _ in range(TICKS)]
+        if (quiet_statuses, leaf_counts(quiet)) != (statuses, leaf_counts(engine)):
+            pytest.fail(
+                f"untraced ticks diverge: statuses={quiet_statuses} "
+                f"counts={leaf_counts(quiet)} shape={shape!r} "
+                f"schedules={schedules!r}")
 
 
 def random_schedules(rng, n_leaves):
@@ -115,13 +134,14 @@ def test_single_leaf_exhaustive_schedules():
     shapes = shapes_with(1)
     for letters in itertools.product("SFR", repeat=SCHEDULE_LEN):
         schedules = ["".join(letters)]
-        for shape in shapes:
-            run_case(shape, schedules)
+        for index, shape in enumerate(shapes):
+            run_case(shape, schedules, index % UNTRACED_STRIDE == 0)
 
 
 @pytest.mark.parametrize("n_leaves,samples", [(2, 250), (3, 90), (4, 30)])
 def test_multi_leaf_sampled_schedules(n_leaves, samples):
     rng = random.Random(90210 + n_leaves)
-    for shape in shapes_with(n_leaves):
+    for index, shape in enumerate(shapes_with(n_leaves)):
         for _ in range(samples):
-            run_case(shape, random_schedules(rng, n_leaves))
+            run_case(shape, random_schedules(rng, n_leaves),
+                     index % UNTRACED_STRIDE == 0)

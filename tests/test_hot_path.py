@@ -10,8 +10,12 @@ without timing anything, and keeps the aliases in `core` alone.
 On CPython 3.11 and 3.12 an instance keeps its attributes in an inline
 array that attribute loads and stores are specialized for; reading its
 `__dict__` (or `vars()` of it) replaces the array with a dict for good, and
-every later attribute access on it misses those caches. The last two tests
-keep that read out of the package, statically and at run time.
+every later attribute access on it misses those caches. Two tests keep
+that read out of the package, statically and at run time.
+
+An episode that no `on_tick` reads ticks into the shared `UNTRACED` trace:
+the last tests check that it builds no trace per tick and that the shared
+one stays empty, while `tick_root` alone still records a new trace per tick.
 """
 
 import ast
@@ -23,11 +27,11 @@ from pathlib import Path
 import pytest
 
 import adaptbt
-from adaptbt import bench
+from adaptbt import bench, core
 from adaptbt.bench import DEFAULT_DEVICES, DEFAULT_STRATEGIES, EpisodeProbe, \
-    run_episode, trial_rng
+    canonical_tree_text, run_episode, trial_rng
 from adaptbt.core import Blackboard, Condition, NodeStatus, StatefulAction, \
-    iter_nodes, tick_root
+    TickTrace, UNTRACED, iter_nodes, tick_root
 from adaptbt.strategies import DataStore
 from adaptbt.treedef import LeafRegistry, instantiate, parse_tree_definition
 
@@ -244,3 +248,52 @@ def test_ticked_objects_keep_inline_attributes(monkeypatch):
                         for obj in [*nodes, *scopes.values(), world, store, probe]
                         if materialized(obj)})
     assert offenders == []
+
+
+def test_an_episode_without_on_tick_builds_no_trace(monkeypatch):
+    built = []
+
+    class CountedTrace(TickTrace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(core, "TickTrace", CountedTrace)
+
+    def episode(**kwargs):
+        return run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES,
+                           DataStore(), trial_rng(7, 0), trial=1,
+                           target_angle=7.0, num_attempts=5, **kwargs)
+
+    untraced = episode()
+    assert built == []
+    seen = []
+    assert episode(on_tick=lambda tick, t, status, trace: seen.append(trace)) \
+        == untraced
+    assert len(seen) > 1 and built == seen
+
+
+def test_the_shared_trace_stays_empty():
+    # the first SubTree remaps target_angle to a key nothing writes, so the
+    # episode reads an unbound key and reports it through the trace's
+    # diagnostic write, which an untraced tick skips
+    text = canonical_tree_text([s.id for s in DEFAULT_STRATEGIES]).replace(
+        'target_angle="{target_angle}"', 'target_angle="{nosuch}"', 1)
+    result = run_episode(DEFAULT_DEVICES["testA"], DEFAULT_STRATEGIES,
+                         DataStore(), trial_rng(7, 0), trial=1,
+                         target_angle=7.0, num_attempts=2,
+                         document=parse_tree_definition(text).document)
+    assert "unbound:nosuch" in result.failure_reasons
+    assert len(UNTRACED) == 0
+    assert not UNTRACED.entries and not UNTRACED.diagnostics
+
+
+def test_tick_root_records_a_new_trace_per_tick():
+    blackboard = Blackboard()
+    blackboard.set("value", 0.0)
+    tree = instantiate(parse_tree_definition(CALLBACK_DOCUMENT).document,
+                       callback_registry(), blackboard)
+    traces = [tick_root(tree, blackboard)[1] for _ in range(4)]
+    assert len({id(trace) for trace in traces}) == 4
+    assert UNTRACED not in traces
+    assert all(len(trace) == len(trace.entries) > 0 for trace in traces)

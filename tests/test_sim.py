@@ -7,6 +7,7 @@ import pytest
 from adaptbt.bench import DEFAULT_DEVICES, EpisodeProbe
 from adaptbt.core import (
     Blackboard,
+    ConfigurationError,
     Key,
     NodeStatus,
     ReactiveSequence,
@@ -377,6 +378,18 @@ class TestManipulateTarget:
         assert status is S
         assert ticks == math.ceil((3.0 - reached) / (LOW.twist_rate * DT))
         assert {r.attempt for r in store.records} == {2}
+
+    def test_strategy_naming_no_spec_mid_twist_is_a_configuration_error(self):
+        world, store, bb, lookup, loop = self.setup_episode(3.0, plain_valve())
+        self.grasp_now(world, bb, lookup)
+        manip = ManipulateTarget("twist", MANIP_PORTS, world, REGISTRY, store,
+                                 EpisodeProbe())
+        assert tick_root(manip, bb)[0] is R
+        bb.set("strategy_id", "nope")
+        with pytest.raises(ConfigurationError) as info:
+            tick_root(manip, bb)
+        assert str(info.value) == \
+            "twist: port 'strategy' names no known strategy, got 'nope'"
 
     def test_requires_grasp(self):
         world, store, bb, lookup, loop = self.setup_episode(1.0, plain_valve())
